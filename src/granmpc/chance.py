@@ -8,6 +8,7 @@ the gradient taken at the deterministic state z.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List
@@ -108,10 +109,17 @@ def erfinv(y: float) -> float:
     return x
 
 
-def gamma(grad_g, sigma, p: float) -> float:
-    """Deterministic tightening margin for risk parameter p in [0.5, 1)."""
+@functools.lru_cache(maxsize=None)
+def _quantile(p: float) -> float:
+    """erfinv(2p - 1), computed once per risk parameter p in [0.5, 1)."""
     if not 0.5 <= p < 1.0:
         raise ValueError("risk parameter must lie in [0.5, 1)")
+    return erfinv(2.0 * p - 1.0)
+
+
+def gamma(grad_g, sigma, p: float) -> float:
+    """Deterministic tightening margin for risk parameter p in [0.5, 1)."""
+    q = _quantile(p)
     grad_g = np.atleast_1d(np.asarray(grad_g, dtype=float))
     sigma = np.asarray(sigma, dtype=float)
     var = float(grad_g @ sigma @ grad_g)
@@ -119,7 +127,7 @@ def gamma(grad_g, sigma, p: float) -> float:
         if var < -1e-10:
             raise ValueError("negative constraint variance (sigma not PSD?)")
         var = 0.0
-    return math.sqrt(2.0 * var) * erfinv(2.0 * p - 1.0)
+    return math.sqrt(2.0 * var) * q
 
 
 @dataclass(frozen=True)

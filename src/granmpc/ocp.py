@@ -5,6 +5,14 @@ beta, the short-stage input offsets nu_k, and (for the granular method) the
 coarse input offsets c_k. Nominal trajectories are affine functions of the
 decision vector, so the cost is an exact quadratic and all nonlinearity lives
 in the keep-out ellipse constraints, which the SQP loop linearizes.
+
+Each SQP iteration's QP is warm-started with the final active set of the QP
+before it, and the first QP of a closed-loop step with the active set the
+previous step ended with (carried on ``OcpSolution.active_set``). QP rows keep
+their numbering between those solves: the coupling equalities, the static
+rows, then the linearized keep-out rows (the soft-fallback QP appends its
+slack bounds after those), so the guess is usually right or nearly so. A
+wrong guess costs QP iterations, never the QP's result.
 """
 
 from __future__ import annotations
@@ -38,7 +46,6 @@ class SqpSettings:
     max_halvings: int = 8
     pos_step_limit: float = 0.5
     soft_penalty: float = 1e6
-    warm_start: bool = True
 
     @classmethod
     def from_config(cls, cfg: sc.ScenarioConfig) -> "SqpSettings":
@@ -214,8 +221,7 @@ def _vel_rows() -> np.ndarray:
     return C
 
 
-def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = None,
-             include_constraints: bool = True) -> OcpProblem:
+def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = None) -> OcpProblem:
     """Build the condensed QP data and constraint descriptors at state x0."""
     cfg = setup.cfg
     method = setup.method
@@ -279,14 +285,11 @@ def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = No
 
     _add_cost(prob)
 
-    if include_constraints:
-        horizon_pred = n_total
-        obs_pred = None
-        if obstacle is not None:
-            obs_pred = sc.predict_obstacle(obstacle, horizon_pred, cfg.dt)
-        prob.obstacle_pred = obs_pred
-        _add_constraints(prob, obs_pred)
-
+    obs_pred = None
+    if obstacle is not None:
+        obs_pred = sc.predict_obstacle(obstacle, n_total, cfg.dt)
+    prob.obstacle_pred = obs_pred
+    _add_constraints(prob, obs_pred)
     return prob
 
 
@@ -447,7 +450,7 @@ def _edge_active(desc, pt) -> bool:
 
 def _linearized_rows(prob: OcpProblem, y):
     """Linearize the keep-out constraints at the trajectory of y."""
-    rows, ubs, soft = [], [], []
+    rows, ubs = [], []
     for item in prob.nonlinear:
         pt = item.S @ y + item.s
         d = item.desc
@@ -458,16 +461,14 @@ def _linearized_rows(prob: OcpProblem, y):
             rows.append(-(grad @ item.S))
             # g(p) + grad.(xi - p) >= gamma, with xi affine in y
             ubs.append(g - gam - float(grad @ p_lin) + float(grad @ item.s))
-            soft.append(True)
         else:
             if not _edge_active(d, pt):
                 continue
             rows.append(item.S[1])
             ubs.append(d.y_max - item.s[1])
-            soft.append(True)
     if rows:
-        return np.array(rows), np.array(ubs), soft
-    return np.zeros((0, prob.n_y)), np.zeros(0), soft
+        return np.array(rows), np.array(ubs)
+    return np.zeros((0, prob.n_y)), np.zeros(0)
 
 
 def nonlinear_violation(prob: OcpProblem, y) -> float:
@@ -609,9 +610,10 @@ class OcpSolution:
     vbar: Optional[np.ndarray]
     positions: np.ndarray       # (N+1, 2) planned positions
     violation: float
+    active_set: list = field(default_factory=list)  # last QP's, warm-starts the next
 
 
-def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float):
+def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
     """Retry with nonnegative slacks on the obstacle rows, penalized linearly."""
     n, m = prob.n_y, len(b_nl)
     H = np.zeros((n + m, n + m))
@@ -627,8 +629,7 @@ def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float):
     if prob.a_eq is not None and len(prob.a_eq):
         a_eq = np.hstack([prob.a_eq, np.zeros((len(prob.b_eq), m))])
         b_eq = prob.b_eq
-    sol = qp_solve(H, f, A, b, a_eq, b_eq)
-    return sol
+    return qp_solve(H, f, A, b, a_eq, b_eq, active=active)
 
 
 def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
@@ -636,10 +637,12 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     if settings is None:
         settings = SqpSettings.from_config(prob.cfg)
     t_start = time.perf_counter()
-    if warm_start is not None and settings.warm_start:
+    if warm_start is not None:
         y = shift_warm_start(prob, warm_start)
     else:
         y = cold_start(prob)
+    # QP working set carried from each QP to the next (see the module docstring)
+    active = warm_start.active_set if isinstance(warm_start, OcpSolution) else []
     softened = False
     status = "max-iter"
     qp_total = 0
@@ -666,26 +669,28 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
             best_y, best_v, best_obj = cand.copy(), v, obj
 
     for it in range(1, settings.max_iter + 1):
-        a_nl, b_nl, _ = _linearized_rows(prob, y)
+        a_nl, b_nl = _linearized_rows(prob, y)
         A = np.vstack([prob.a_static, a_nl])
         b = np.concatenate([prob.b_static, b_nl])
-        sol = qp_solve(prob.H, prob.f, A, b, prob.a_eq, prob.b_eq)
+        sol = qp_solve(prob.H, prob.f, A, b, prob.a_eq, prob.b_eq, active=active)
         qp_total += sol.iterations
         soft_used = sol.status != "optimal"
         if soft_used:
-            soft = _solve_soft(prob, a_nl, b_nl, settings.soft_penalty)
+            soft = _solve_soft(prob, a_nl, b_nl, settings.soft_penalty, active)
             qp_total += soft.iterations
             if soft.status != "optimal":
                 if trace is not None:
                     trace.append({"iter": it, "event": "infeasible"})
                 return _make_solution(prob, y, "infeasible", it, qp_total,
-                                      softened, t_start)
+                                      softened, t_start, active)
             slack = soft.x[prob.n_y:]
             if np.any(slack > 1e-7):
                 softened = True
             y_full = soft.x[:prob.n_y]
+            active = soft.active_set
         else:
             y_full = sol.x
+            active = sol.active_set
         step = y_full - y
         step_norm = float(np.max(np.abs(step))) if step.size else 0.0
         v0 = nonlinear_violation(prob, y)
@@ -731,11 +736,11 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     elif final_v <= settings.violation_tol and it == settings.max_iter:
         # hit the cap but the last step may still have been tiny
         status = "converged" if float(np.max(np.abs(step))) * t < settings.step_tol else "max-iter"
-    return _make_solution(prob, y, status, it, qp_total, softened, t_start)
+    return _make_solution(prob, y, status, it, qp_total, softened, t_start, active)
 
 
 def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
-                   t_start) -> OcpSolution:
+                   t_start, active) -> OcpSolution:
     xbar, ubar, zeta, vbar = prob.trajectories(y)
     nus = np.array([y[prob.nu_slice(k)] for k in range(prob.n_nu)])
     n_c = len(prob.vbar_maps)
@@ -746,7 +751,7 @@ def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
         solve_time_ms=1e3 * (time.perf_counter() - t_start),
         beta=y[:prob.n_beta].copy(), nus=nus, cs=cs, xbar=xbar, ubar=ubar,
         zeta=zeta, vbar=vbar, positions=prob.positions(y),
-        violation=nonlinear_violation(prob, y))
+        violation=nonlinear_violation(prob, y), active_set=list(active))
 
 
 def extract_control(solution: OcpSolution, x0, K) -> np.ndarray:

@@ -3,20 +3,41 @@
 Solves   min 1/2 x' H x + f' x
          s.t. A_eq x = b_eq,  A_ineq x <= b_ineq
 
-starting from the unconstrained minimizer and adding violated constraints
-one at a time, so no feasible starting point is required. Equality
-constraints are added first and never dropped (their duals are unsigned).
-The contract is the KKT residuals: stationarity <= 1e-7, primal
-feasibility <= 1e-8, complementary slackness <= 1e-7 on reported optima.
+Rows are numbered equalities first, then inequality i at m_eq + i; both
+``QpSolution.active_set`` and the optional initial working set ``active``
+use this numbering.
+
+The solve starts from the minimizer of the equality-constrained QP on all
+equalities plus the rows guessed in ``active`` (none by default: a cold
+start). Guessed rows that are out of range or linearly dependent on the rows
+taken before them are skipped, and guessed inequalities with a negative
+multiplier are dropped one at a time, most negative first, until every
+multiplier is nonnegative; the start is then a valid pair of the dual method
+(Goldfarb & Idnani 1983) and costs one iteration. From there violated
+inequalities are added one at a time, dropping blocking ones, so no feasible
+starting point is required. Equalities are never dropped (their duals are
+unsigned); one that depends on the others and is not met makes the QP
+infeasible. Passing the final active set of a closely related QP (the
+previous SQP iteration or MPC step) saves most of the iterations; a wrong
+guess costs iterations, never the result. Equality-constrained minimizers
+are solved from their KKT system, and once the dual steps reach an optimum
+it is solved again that way from its final working set, which clears the
+rounding the steps accumulate on badly scaled problems (a stiff penalty on
+a lightly weighted slack).
+
+The contract is the KKT residuals on reported optima: stationarity <= 1e-7,
+complementary slackness <= 1e-7, and primal feasibility row by row: with the
+default tol every row i is met to tol * (1 + |b_i|), i.e. to 1e-8 wherever
+|b_i| <= 9, however large the offsets of the other rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 
 class QpError(RuntimeError):
@@ -42,9 +63,32 @@ def _factor(H: np.ndarray, reg: float):
         return cho_factor(Hr, lower=True), Hr
 
 
+def _solve(M, rhs):
+    try:
+        return np.linalg.solve(M, rhs)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(M, rhs, rcond=None)[0]
+
+
+def _independent(V: np.ndarray, tol: float) -> list:
+    """Columns of V kept in order while each adds a component of squared norm
+    > tol orthogonal to those kept before it (the test the dual loop applies
+    to a row it adds, z . n > tol)."""
+    keep = list(range(V.shape[1]))
+    while keep:
+        r = np.abs(np.diag(np.linalg.qr(V[:, keep], mode="r")))
+        weak = np.flatnonzero(r * r <= tol)
+        if weak.size:
+            del keep[weak[0]]
+        else:
+            del keep[len(r):]       # beyond n columns the rest are dependent
+            break
+    return keep
+
+
 def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
              tol: float = 1e-9, max_iter: Optional[int] = None,
-             reg: float = 1e-9) -> QpSolution:
+             reg: float = 1e-9, active: Iterable[int] = ()) -> QpSolution:
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
     n = f.shape[0]
@@ -56,70 +100,107 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     if max_iter is None:
         max_iter = 50 * (n + m_in + m_eq + 10)
 
-    L, _ = _factor(H, reg)
+    L, Hf = _factor(H, reg)
     x = -cho_solve(L, f)
 
-    # Active set bookkeeping. Indices 0..m_eq-1 are equalities (normals may be
-    # sign-flipped on entry; the flip is recorded to restore dual signs).
+    # Working set in ">=" form n . x >= d: equality j as (A_eq[j], b_eq[j]),
+    # inequality i as (-A_ineq[i], -b_ineq[i]). act_idx holds row numbers,
+    # act_u their multipliers; the first m_act columns of N_buf and W_buf hold
+    # the normals N and W = H^{-1} N (valid while L is fixed).
     act_idx: list[int] = []
-    # Column buffers for the active normals N and cached W = H^{-1} N
-    # (valid while L is fixed); m_act tracks the live column count.
-    N_buf = np.empty((n, n + m_eq))
-    W_buf = np.empty((n, n + m_eq))
-    m_act = 0
     act_u: list[float] = []
-    eq_flip = np.ones(m_eq)
-
-    scale = 1.0 + max(np.max(np.abs(b_in), initial=0.0), np.max(np.abs(b_e), initial=0.0))
+    N_buf = np.empty((n, n))
+    W_buf = np.empty((n, n))
+    m_act = 0
+    row_tol = tol * (1.0 + np.abs(b_in))
     iters = 0
 
+    def result(status):
+        duals_in = np.zeros(m_in)
+        duals_eq = np.zeros(m_eq)
+        for idx, u in zip(act_idx, act_u):
+            if idx < m_eq:
+                # Stationarity is written as H x + f + A_eq' duals_eq = 0.
+                duals_eq[idx] = -u
+            else:
+                duals_in[idx - m_eq] = u
+        return QpSolution(x, status, duals_in, duals_eq, iters, sorted(act_idx))
+
+    def start(rows):
+        """Minimize with the given rows (equalities first, ascending) held as
+        equalities, skipping dependent rows and dropping negative inequality
+        multipliers; the result becomes x and the working set."""
+        nonlocal x, act_idx, act_u, m_act
+        eqs = [i for i in rows if i < m_eq]
+        ins = [i - m_eq for i in rows if i >= m_eq]
+        N = np.hstack([A_e[eqs].T, -A_in[ins].T])
+        d = np.concatenate([b_e[eqs], -b_in[ins]])
+        sel = _independent(solve_triangular(L[0], N, lower=True, check_finite=False), tol)
+        rows, N, d = [rows[j] for j in sel], N[:, sel], d[sel]
+        while True:
+            # KKT system [[H, N], [N', 0]] [x; -u] = [-f; d], solved directly:
+            # x_unc + H^{-1} N u cancels badly when x_unc is huge
+            k = len(rows)
+            kkt = np.zeros((n + k, n + k))
+            kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = Hf, N, N.T
+            sol = _solve(kkt, np.concatenate([-f, d]))
+            x, u = sol[:n], -sol[n:]
+            worst = min((j for j in range(k) if rows[j] >= m_eq),
+                        key=lambda j: u[j], default=None)
+            if worst is None or u[worst] >= 0.0:
+                break
+            del rows[worst]
+            N, d = np.delete(N, worst, axis=1), np.delete(d, worst)
+        m_act = len(rows)
+        N_buf[:, :m_act] = N
+        W_buf[:, :m_act] = cho_solve(L, N, check_finite=False)
+        act_idx, act_u = rows, [float(v) for v in u]
+
+    # Initial working set: the equalities, then the guessed inequalities.
+    guess = sorted({int(i) for i in active if m_eq <= int(i) < m_eq + m_in})
+    if m_eq or guess:
+        iters = 1
+        start(list(range(m_eq)) + guess)
+        # An equality skipped as dependent keeps its value from here on,
+        # since the equalities it depends on are never dropped.
+        if np.any(np.abs(A_e @ x - b_e) > tol * (1.0 + np.abs(b_e))):
+            return result("infeasible")
+
     def pick_violated():
-        # Equalities not yet active take priority.
-        for j in range(m_eq):
-            if j not in act_idx:
-                return j
         if m_in == 0:
             return None
         s = A_in @ x - b_in
-        mask = np.ones(m_in, dtype=bool)
-        for j in act_idx:
-            if j >= m_eq:
-                mask[j - m_eq] = False
-        s = np.where(mask, s, -np.inf)
+        s[s <= row_tol] = -np.inf
+        s[[i - m_eq for i in act_idx if i >= m_eq]] = -np.inf
         p = int(np.argmax(s))
-        if s[p] > tol * scale:
-            return m_eq + p
-        return None
+        return p if np.isfinite(s[p]) else None
 
-    while iters < max_iter:
-        pidx = pick_violated()
-        if pidx is None:
-            break
-        # Normal in ">=" convention: constraint is n_p . x >= d_p.
-        if pidx < m_eq:
-            n_p, d_p = A_e[pidx].copy(), b_e[pidx]
-            if n_p @ x > d_p:
-                n_p, d_p = -n_p, -d_p
-                eq_flip[pidx] = -1.0
-            is_eq = True
-        else:
-            n_p, d_p = -A_in[pidx - m_eq], -b_in[pidx - m_eq]
-            is_eq = False
+    # Once the dual steps reach an optimum, x is re-solved from the KKT
+    # system of its working set (not counted as an iteration): on the soft
+    # fallback QPs of ocp the steps leave active rows off by 1e-4 and more.
+    # The loop resumes if that re-solve moved x across a tolerance.
+    polished = True
+    while True:
+        p = pick_violated()
+        if p is None:
+            if polished:
+                return result("optimal")
+            polished = True
+            start(sorted(act_idx))
+            continue
+        polished = False
+        n_p, d_p = -A_in[p], -b_in[p]
         u_p = 0.0
-        Hin = cho_solve(L, n_p)
+        Hin = cho_solve(L, n_p, check_finite=False)
 
         while True:
             iters += 1
             if iters > max_iter:
-                return QpSolution(x, "iteration_limit", *_duals(m_in, m_eq, act_idx, act_u, eq_flip), iters)
+                return result("iteration_limit")
             if m_act:
                 N = N_buf[:, :m_act]
                 W = W_buf[:, :m_act]
-                M = N.T @ W
-                try:
-                    r = np.linalg.solve(M, N.T @ Hin)
-                except np.linalg.LinAlgError:
-                    r = np.linalg.lstsq(M, N.T @ Hin, rcond=None)[0]
+                r = _solve(N.T @ W, N.T @ Hin)
                 z = Hin - W @ r
             else:
                 r = np.zeros(0)
@@ -137,8 +218,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
             t2 = slack / ztn if ztn > tol else np.inf
 
             if not np.isfinite(t1) and not np.isfinite(t2):
-                status = "infeasible"
-                return QpSolution(x, status, *_duals(m_in, m_eq, act_idx, act_u, eq_flip), iters)
+                return result("infeasible")
             t = min(t1, t2)
             if np.isfinite(t2):
                 x = x + t * z
@@ -147,7 +227,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
             u_p += t
 
             if t2 <= t1:
-                act_idx.append(pidx)
+                act_idx.append(m_eq + p)
                 N_buf[:, m_act] = n_p
                 W_buf[:, m_act] = Hin
                 m_act += 1
@@ -158,23 +238,6 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
             W_buf[:, blk:m_act - 1] = W_buf[:, blk + 1:m_act]
             m_act -= 1
             del act_idx[blk], act_u[blk]
-    else:
-        return QpSolution(x, "iteration_limit", *_duals(m_in, m_eq, act_idx, act_u, eq_flip), iters)
-
-    duals_in, duals_eq = _duals(m_in, m_eq, act_idx, act_u, eq_flip)
-    return QpSolution(x, "optimal", duals_in, duals_eq, iters, active_set=sorted(act_idx))
-
-
-def _duals(m_in, m_eq, act_idx, act_u, eq_flip):
-    duals_in = np.zeros(m_in)
-    duals_eq = np.zeros(m_eq)
-    for idx, u in zip(act_idx, act_u):
-        if idx < m_eq:
-            # Stationarity is written as H x + f + A_eq' duals_eq = 0.
-            duals_eq[idx] = -eq_flip[idx] * u
-        else:
-            duals_in[idx - m_eq] = u
-    return duals_in, duals_eq
 
 
 def kkt_residuals(H, f, sol: QpSolution, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None):

@@ -148,7 +148,8 @@ def test_solution_is_feasible_at_start(cfg):
 
 def test_warm_started_resolve_is_cheap(cfg):
     # after one disturbance-free plant step the shifted plan should already
-    # satisfy the new problem, leaving only a couple of polish iterations
+    # satisfy the new problem, leaving only a couple of polish iterations,
+    # and the carried QP active set should spare nearly all QP iterations
     for method in ("granular", "single-rsmpc"):
         setup = ocp.MethodSetup.build(cfg, method)
         x = np.array([2.0, 1.0, 0.0, 0.0])
@@ -158,6 +159,10 @@ def test_warm_started_resolve_is_cheap(cfg):
         sol2 = ocp.solve_sqp(ocp.assemble(setup, x1, None), warm_start=sol)
         assert sol2.status == "converged"
         assert sol2.iterations <= 3
+        cold = ocp.solve_sqp(ocp.assemble(setup, x1, None))
+        assert cold.status == "converged"
+        assert 5 * sol2.qp_iterations <= cold.qp_iterations
+        assert np.max(np.abs(sol2.y - cold.y)) <= 1e-6
 
 
 def test_infeasible_initial_state_detected(cfg, setup_granular):

@@ -140,3 +140,18 @@ def test_near_singular_hessian_regularized():
     sol = qp_solve(H, f, A, b, reg=1e-8)
     assert sol.status == "optimal"
     assert np.all(A @ sol.x <= b + 1e-8)
+
+
+def test_far_row_does_not_loosen_tight_row():
+    # each row is tested against its own offset: a far row with |b| = 1e8
+    # must not let the tight row x0 <= 1 stay violated (unconstrained x0 = 1.05)
+    H = np.eye(2)
+    f = np.array([-1.05, 0.0])
+    A = np.eye(2)
+    b = np.array([1.0, 1e8])
+    sol = qp_solve(H, f, A, b)
+    assert sol.status == "optimal"
+    assert A[0] @ sol.x - b[0] <= 1e-8
+    assert sol.active_set == [0]
+    stat, feas, comp = kkt_residuals(H, f, sol, A, b)
+    assert stat < 1e-7 and feas <= 1e-8 and comp < 1e-7
