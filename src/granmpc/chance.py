@@ -128,44 +128,3 @@ def gamma(grad_g, sigma, p: float) -> float:
             raise ValueError("negative constraint variance (sigma not PSD?)")
         var = 0.0
     return math.sqrt(2.0 * var) * q
-
-
-@dataclass(frozen=True)
-class HalfPlaneConstraint:
-    """g(xi) = offset - a . xi >= 0 (feasible side a . xi <= offset)."""
-
-    a: np.ndarray
-    offset: float
-    p: float
-    kind: str = "half-plane"
-
-    def value(self, xi) -> float:
-        return float(self.offset - np.asarray(self.a, dtype=float) @ np.asarray(xi, dtype=float))
-
-    def gradient(self, xi) -> np.ndarray:
-        return -np.asarray(self.a, dtype=float)
-
-
-@dataclass(frozen=True)
-class EllipseConstraint:
-    """Keep-out ellipse: g(xi) = ((x-cx)/a)^2 + ((y-cy)/b)^2 - 1 >= 0."""
-
-    center: np.ndarray
-    a: float
-    b: float
-    p: float
-    kind: str = "ellipse"
-
-    def value(self, xi) -> float:
-        r = np.asarray(xi, dtype=float) - np.asarray(self.center, dtype=float)
-        return float((r[0] / self.a) ** 2 + (r[1] / self.b) ** 2 - 1.0)
-
-    def gradient(self, xi) -> np.ndarray:
-        r = np.asarray(xi, dtype=float) - np.asarray(self.center, dtype=float)
-        return np.array([2.0 * r[0] / self.a ** 2, 2.0 * r[1] / self.b ** 2])
-
-
-def deterministic_residual(c, z, sigma) -> float:
-    """g(z) - gamma(grad g(z), sigma, p); nonnegative iff the reformulated
-    chance constraint holds at the deterministic state z."""
-    return c.value(z) - gamma(c.gradient(z), sigma, c.p)

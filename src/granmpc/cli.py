@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chance, ocp, scenario as sc, simulate
+from . import ocp, scenario as sc, simulate
 from .sets import SetError
 
 
@@ -44,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--method", choices=simulate.METHODS, default="granular")
         sp.add_argument("--runs", type=int, default=1 if name == "run" else 100)
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--debug-trace", action="store_true",
                         help="dump per-iteration SQP traces as JSON lines")
 
@@ -52,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--runs", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--jobs", type=int, default=1)
     return p
 
 
@@ -114,8 +112,6 @@ def _cmd_build_sets(args) -> int:
 def _run_batch(args, cfg, out: Path, write_runs: bool) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
     if args.debug_trace and args.command == "run":
         setup = ocp.MethodSetup.build(cfg, args.method)
         records = []
@@ -130,8 +126,7 @@ def _run_batch(args, cfg, out: Path, write_runs: bool) -> int:
                     fh.write(json.dumps(row) + "\n")
         summary = simulate.summarize(records, args.method)
     else:
-        summary, records = simulate.monte_carlo(cfg, args.method, args.runs,
-                                                args.seed, jobs=args.jobs)
+        summary, records = simulate.monte_carlo(cfg, args.method, args.runs, args.seed)
     if write_runs:
         for rec in records:
             simulate.write_run_jsonl(rec, out / f"run_{rec.method}_{rec.seed}.jsonl")
@@ -163,7 +158,7 @@ def _cmd_compare(args) -> int:
         raise UsageError("--runs must be at least 1")
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
-    report = simulate.compare_methods(cfg, args.runs, args.seed, jobs=args.jobs)
+    report = simulate.compare_methods(cfg, args.runs, args.seed)
     simulate.write_comparison_json(report, out / "comparison.json")
     for m in simulate.METHODS:
         s = report["methods"][m]

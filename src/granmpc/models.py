@@ -1,9 +1,9 @@
-"""Discrete-time linear models, granularity projection, and LQR gains."""
+"""Discrete-time linear models, stability helpers, and LQR gains."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -81,42 +81,6 @@ def step(model: LinearModel, x, u, d=None) -> np.ndarray:
             raise ModelError("disturbance dimension mismatch")
         out = out + model.G @ d
     return out
-
-
-@dataclass(frozen=True)
-class ProjectionMap:
-    """Surjective map from stacked (x, u) of the detailed model to (xi, v)."""
-
-    matrix: np.ndarray
-    n_coarse_states: int
-
-    def __post_init__(self):
-        M = _as_matrix(self.matrix)
-        if np.linalg.matrix_rank(M) != M.shape[0]:
-            raise ModelError("projection must be surjective (full row rank)")
-        if not 0 < self.n_coarse_states < M.shape[0]:
-            raise ModelError("invalid coarse state dimension")
-        object.__setattr__(self, "matrix", M)
-
-    @property
-    def state_block(self) -> np.ndarray:
-        """Rows mapping (x, u) to the coarse state xi."""
-        return self.matrix[: self.n_coarse_states]
-
-    @property
-    def input_block(self) -> np.ndarray:
-        """Rows mapping (x, u) to the coarse input v."""
-        return self.matrix[self.n_coarse_states:]
-
-
-def project(pm: ProjectionMap, x, u):
-    """Apply the projection, returning (xi, v)."""
-    xu = np.concatenate([np.atleast_1d(np.asarray(x, dtype=float)),
-                         np.atleast_1d(np.asarray(u, dtype=float))])
-    if xu.shape[0] != pm.matrix.shape[1]:
-        raise ModelError("projection dimension mismatch")
-    out = pm.matrix @ xu
-    return out[: pm.n_coarse_states], out[pm.n_coarse_states:]
 
 
 def spectral_radius(M) -> float:

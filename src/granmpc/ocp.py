@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -207,20 +207,6 @@ class OcpProblem:
         return out
 
 
-def _pos_rows() -> np.ndarray:
-    C = np.zeros((2, 4))
-    C[0, 0] = 1.0
-    C[1, 2] = 1.0
-    return C
-
-
-def _vel_rows() -> np.ndarray:
-    C = np.zeros((2, 4))
-    C[0, 1] = 1.0
-    C[1, 3] = 1.0
-    return C
-
-
 def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = None) -> OcpProblem:
     """Build the condensed QP data and constraint descriptors at state x0."""
     cfg = setup.cfg
@@ -236,7 +222,7 @@ def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = No
     Phi, K = setup.gains.Phi, setup.gains.K
     Phi_c, Kc = setup.gains.Phi_c, setup.gains.Kc
     B = setup.model.B
-    Cpos, Cvel = _pos_rows(), _vel_rows()
+    Cpos, Cvel = sc.POS_ROWS, sc.VEL_ROWS
 
     prob = OcpProblem(
         method=method, cfg=cfg, setup=setup, x0=x0, n_y=n_y, n_beta=n_beta,
@@ -322,7 +308,7 @@ def _add_cost(prob: OcpProblem):
             _add_quad(prob, *prob.xbar_maps[k], Q, x_t)
             _add_quad(prob, *prob.ubar_maps[k], R, z2)
         Sx, sx = prob.xbar_maps[kd]
-        _add_quad(prob, _pos_rows() @ Sx, _pos_rows() @ sx, Qc, p_term)
+        _add_quad(prob, sc.POS_ROWS @ Sx, sc.POS_ROWS @ sx, Qc, p_term)
     # keep H strictly convex: beta and the unused junction offset nu_Ns
     # otherwise have zero curvature
     prob.H += 1e-8 * np.eye(prob.n_y)
@@ -336,8 +322,7 @@ def _quantity_map(prob: OcpProblem, quantity: str, k: int):
         return prob.ubar_maps[k]
     if quantity == "state_pos":
         S, s = prob.xbar_maps[k]
-        C = _pos_rows()
-        return C @ S, C @ s
+        return sc.POS_ROWS @ S, sc.POS_ROWS @ s
     if quantity == "coarse_state":
         return prob.zeta_maps[k - cfg.ns]
     if quantity == "coarse_input":
@@ -424,8 +409,14 @@ def _ellipse_value_grad(desc, pt):
     return g, grad
 
 
-def _ellipse_lin_point(desc, pt):
-    """Linearization point for the keep-out ellipse.
+def _margin(desc, grad) -> float:
+    """Chance margin gamma of a keep-out ellipse (0 for a robust one)."""
+    return 0.0 if desc.p is None else chance.gamma(grad, np.asarray(desc.sigma), desc.p)
+
+
+def _inner_lin_point(desc, pt):
+    """Linearization point for a position inside the keep-out ellipse, None
+    for one outside it (which is its own linearization point).
 
     Points inside the ellipse give a vanishing or inward gradient, so they are
     projected radially onto the nearest boundary point; an exactly central
@@ -436,7 +427,7 @@ def _ellipse_lin_point(desc, pt):
                   (pt[1] - desc.center[1]) / desc.b])
     rho = float(np.hypot(r[0], r[1]))
     if rho >= 1.0:
-        return np.asarray(pt, dtype=float)
+        return None
     if rho < 1e-9:
         r, rho = np.array([-1.0, 0.0]), 1.0
     r /= rho
@@ -448,46 +439,43 @@ def _edge_active(desc, pt) -> bool:
     return desc.x_range[0] - _EDGE_BUFFER <= pt[0] <= desc.x_range[1] + _EDGE_BUFFER
 
 
-def _linearized_rows(prob: OcpProblem, y):
-    """Linearize the keep-out constraints at the trajectory of y."""
-    rows, ubs = [], []
-    for item in prob.nonlinear:
-        pt = item.S @ y + item.s
-        d = item.desc
-        if isinstance(d, sc.EllipseKeepout):
-            p_lin = _ellipse_lin_point(d, pt)
-            g, grad = _ellipse_value_grad(d, p_lin)
-            gam = 0.0 if d.p is None else chance.gamma(grad, np.asarray(d.sigma), d.p)
-            rows.append(-(grad @ item.S))
-            # g(p) + grad.(xi - p) >= gamma, with xi affine in y
-            ubs.append(g - gam - float(grad @ p_lin) + float(grad @ item.s))
-        else:
-            if not _edge_active(d, pt):
-                continue
-            rows.append(item.S[1])
-            ubs.append(d.y_max - item.s[1])
-    if rows:
-        return np.array(rows), np.array(ubs)
-    return np.zeros((0, prob.n_y)), np.zeros(0)
+def nonlinear_violation(prob: OcpProblem, y):
+    """Worst true constraint violation at y (0 when feasible) and the
+    keep-outs linearized at y: returns (worst, a_nl, b_nl), rows a_nl y' <= b_nl.
 
-
-def nonlinear_violation(prob: OcpProblem, y) -> float:
-    """Worst true constraint violation at y (0 when feasible)."""
+    One pass serves both outputs: a position outside its ellipse is its own
+    linearization point, so its value, gradient and chance margin are
+    computed once; one inside is linearized again at its boundary projection.
+    """
     worst = 0.0
     if len(prob.b_static):
         worst = max(worst, float(np.max(prob.a_static @ y - prob.b_static)))
     if prob.a_eq is not None and len(prob.a_eq):
         worst = max(worst, float(np.max(np.abs(prob.a_eq @ y - prob.b_eq))))
+    rows, ubs = [], []
     for item in prob.nonlinear:
         pt = item.S @ y + item.s
         d = item.desc
         if isinstance(d, sc.EllipseKeepout):
             g, grad = _ellipse_value_grad(d, pt)
-            gam = 0.0 if d.p is None else chance.gamma(grad, np.asarray(d.sigma), d.p)
+            gam = _margin(d, grad)
             worst = max(worst, gam - g)
+            p_lin = _inner_lin_point(d, pt)
+            if p_lin is None:
+                p_lin = pt
+            else:
+                g, grad = _ellipse_value_grad(d, p_lin)
+                gam = _margin(d, grad)
+            rows.append(-(grad @ item.S))
+            # g(p) + grad.(xi - p) >= gamma, with xi affine in y
+            ubs.append(g - gam - float(grad @ p_lin) + float(grad @ item.s))
         elif _edge_active(d, pt):
             worst = max(worst, float(pt[1] - d.y_max))
-    return worst
+            rows.append(item.S[1])
+            ubs.append(d.y_max - item.s[1])
+    if rows:
+        return worst, np.array(rows), np.array(ubs)
+    return worst, np.zeros((0, prob.n_y)), np.zeros(0)
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +622,14 @@ def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
 
 def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
               warm_start=None, trace: Optional[list] = None) -> OcpSolution:
+    """SQP over the keep-out linearizations from the warm or the cold start.
+
+    ``nonlinear_violation`` scores each point once: the start, each
+    line-search trial (one that rounds back onto the current point reuses its
+    result) and the halved point when the halvings run out. The accepted
+    point's result gives the next QP's keep-out rows, the line search's
+    reference, the best-iterate and stall tests, the trace row and the status.
+    """
     if settings is None:
         settings = SqpSettings.from_config(prob.cfg)
     t_start = time.perf_counter()
@@ -649,17 +645,17 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     it = 0
     stall = 0
     v_last = np.inf
+    v, a_nl, b_nl = nonlinear_violation(prob, y)
     # best iterate seen so far: feasible with lowest objective if any iterate
     # is feasible, otherwise lowest true violation. Softened QPs drift toward
     # the keep-outs (slack minimization rewards approaching them), so the
     # final iterate is not automatically the one to execute.
     best_y = y.copy()
-    best_v = nonlinear_violation(prob, y)
+    best_v = v
     best_obj = prob.objective(y)
 
-    def _consider(cand):
+    def _consider(cand, v):
         nonlocal best_y, best_v, best_obj
-        v = nonlinear_violation(prob, cand)
         obj = prob.objective(cand)
         feasible = v <= settings.violation_tol
         best_feasible = best_v <= settings.violation_tol
@@ -669,7 +665,6 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
             best_y, best_v, best_obj = cand.copy(), v, obj
 
     for it in range(1, settings.max_iter + 1):
-        a_nl, b_nl = _linearized_rows(prob, y)
         A = np.vstack([prob.a_static, a_nl])
         b = np.concatenate([prob.b_static, b_nl])
         sol = qp_solve(prob.H, prob.f, A, b, prob.a_eq, prob.b_eq, active=active)
@@ -682,7 +677,7 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
                 if trace is not None:
                     trace.append({"iter": it, "event": "infeasible"})
                 return _make_solution(prob, y, "infeasible", it, qp_total,
-                                      softened, t_start, active)
+                                      softened, t_start, active, v)
             slack = soft.x[prob.n_y:]
             if np.any(slack > 1e-7):
                 softened = True
@@ -693,7 +688,6 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
             active = sol.active_set
         step = y_full - y
         step_norm = float(np.max(np.abs(step))) if step.size else 0.0
-        v0 = nonlinear_violation(prob, y)
         # position trust region: keep the linearization local so the solver
         # stays in the basin of the current plan instead of jumping across
         # a keep-out in a single linearized step
@@ -703,16 +697,20 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
             max_disp = float(np.max(np.abs(disp))) if disp.size else 0.0
             if max_disp > settings.pos_step_limit:
                 t = settings.pos_step_limit / max_disp
-        for _ in range(settings.max_halvings):
-            if nonlinear_violation(prob, y + t * step) <= max(v0, 0.0) + settings.violation_tol:
+        # line search: halve until the true violation does not grow; when
+        # the halvings run out, the point one halving further is taken
+        v_ok = max(v, 0.0) + settings.violation_tol
+        for h in range(settings.max_halvings + 1):
+            y_try = y + t * step
+            ev = (v, a_nl, b_nl) if np.array_equal(y_try, y) else nonlinear_violation(prob, y_try)
+            if h == settings.max_halvings or ev[0] <= v_ok:
                 break
             t *= 0.5
-        y = y + t * step
-        _consider(y)
+        y, (v, a_nl, b_nl) = y_try, ev
+        _consider(y, v)
         if trace is not None:
             trace.append({"iter": it, "step_norm": step_norm, "damping": t,
-                          "objective": prob.objective(y),
-                          "violation": nonlinear_violation(prob, y),
+                          "objective": prob.objective(y), "violation": v,
                           "qp_iterations": sol.iterations})
         if step_norm * t < settings.step_tol or (t == 1.0 and step_norm < settings.step_tol):
             break
@@ -720,27 +718,24 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
         # cycle without reducing the true violation; stop paddling once no
         # progress is made for two iterations
         if soft_used:
-            v_now = nonlinear_violation(prob, y)
-            stall = stall + 1 if v_now >= v_last - 1e-4 else 0
-            v_last = min(v_last, v_now)
+            stall = stall + 1 if v >= v_last - 1e-4 else 0
+            v_last = min(v_last, v)
             if stall >= 2:
                 break
     # execute the best iterate of the solve, not necessarily the last one:
     # feasible with lowest objective when any iterate was feasible, otherwise
     # lowest true violation (typically the shifted previous plan, the usual
     # recursive-feasibility fallback)
-    y = best_y
-    final_v = nonlinear_violation(prob, y)
-    if final_v <= settings.violation_tol and it < settings.max_iter:
+    if best_v <= settings.violation_tol and it < settings.max_iter:
         status = "converged"
-    elif final_v <= settings.violation_tol and it == settings.max_iter:
+    elif best_v <= settings.violation_tol and it == settings.max_iter:
         # hit the cap but the last step may still have been tiny
         status = "converged" if float(np.max(np.abs(step))) * t < settings.step_tol else "max-iter"
-    return _make_solution(prob, y, status, it, qp_total, softened, t_start, active)
+    return _make_solution(prob, best_y, status, it, qp_total, softened, t_start, active, best_v)
 
 
 def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
-                   t_start, active) -> OcpSolution:
+                   t_start, active, violation) -> OcpSolution:
     xbar, ubar, zeta, vbar = prob.trajectories(y)
     nus = np.array([y[prob.nu_slice(k)] for k in range(prob.n_nu)])
     n_c = len(prob.vbar_maps)
@@ -751,7 +746,7 @@ def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
         solve_time_ms=1e3 * (time.perf_counter() - t_start),
         beta=y[:prob.n_beta].copy(), nus=nus, cs=cs, xbar=xbar, ubar=ubar,
         zeta=zeta, vbar=vbar, positions=prob.positions(y),
-        violation=nonlinear_violation(prob, y), active_set=list(active))
+        violation=violation, active_set=list(active))
 
 
 def extract_control(solution: OcpSolution, x0, K) -> np.ndarray:

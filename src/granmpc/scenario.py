@@ -7,16 +7,15 @@ lane, past a dynamic obstacle and below a static box that narrows the road.
 
 from __future__ import annotations
 
-import copy
 import io
-from dataclasses import dataclass, field, fields as dc_fields
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 import yaml
 
 from . import chance
-from .models import GainPair, GaussianNoise, LinearModel, ProjectionMap
+from .models import GainPair, GaussianNoise, LinearModel
 from .sets import HPolytope, Zonotope
 
 
@@ -77,7 +76,6 @@ class ScenarioConfig:
     nl: int = 13
     # tube computation
     tube_eps: float = 1e-3
-    generator_cap: int = 512
     # solver
     sqp_max_iter: int = 30
     sqp_step_tol: float = 1e-6
@@ -120,7 +118,7 @@ class ScenarioConfig:
         "gains": ("k_gain", "kc_gain"),
         "stochastic": ("sigma_w_diag", "risk", "detailed_sigma_std"),
         "horizons": ("ns", "nl"),
-        "tube": ("tube_eps", "generator_cap"),
+        "tube": ("tube_eps",),
         "solver": ("sqp_max_iter", "sqp_step_tol", "sqp_violation_tol",
                    "sqp_max_halvings", "sqp_pos_step_limit", "soft_penalty"),
     }
@@ -186,6 +184,12 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
 # model construction
 
 
+# Selectors of the position (p_x, p_y) and the velocity (v_x, v_y) from the
+# detailed state (p_x, v_x, p_y, v_y), the state order of detailed_model.
+POS_ROWS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+VEL_ROWS = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
 def detailed_model(cfg: ScenarioConfig) -> LinearModel:
     dt = cfg.dt
     a2 = np.array([[1.0, dt], [0.0, 1.0]])
@@ -214,17 +218,6 @@ def coarse_model(cfg: ScenarioConfig) -> LinearModel:
         dt=dt,
         disturbance=GaussianNoise(np.diag(cfg.sigma_w_diag)),
     )
-
-
-def projection_map() -> ProjectionMap:
-    # (xi, v) = Proj(x, u): positions become coarse states, velocities become
-    # coarse inputs; the detailed input does not enter.
-    M = np.zeros((4, 6))
-    M[0, 0] = 1.0
-    M[1, 2] = 1.0
-    M[2, 1] = 1.0
-    M[3, 3] = 1.0
-    return ProjectionMap(matrix=M, n_coarse_states=2)
 
 
 def gain_pair(cfg: ScenarioConfig) -> GainPair:
@@ -370,10 +363,7 @@ def build_smpc_constraints(cfg: ScenarioConfig, k: int, obs_pos, sigma,
         pos_quantity, pos_sigma = "coarse_state", sigma
     elif model_kind == "detailed":
         pos_quantity = "state_pos"
-        C = np.zeros((2, 4))
-        C[0, 0] = 1.0
-        C[1, 2] = 1.0
-        pos_sigma = C @ sigma @ C.T
+        pos_sigma = POS_ROWS @ sigma @ POS_ROWS.T
     else:
         raise ValueError(f"unknown model_kind {model_kind!r}")
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -247,31 +246,19 @@ def summarize(records: List[RunRecord], method: str) -> MonteCarloSummary:
     )
 
 
-def monte_carlo(cfg: sc.ScenarioConfig, method: str, n_runs: int, base_seed: int,
-                jobs: int = 1) -> tuple:
+def monte_carlo(cfg: sc.ScenarioConfig, method: str, n_runs: int, base_seed: int) -> tuple:
     """Runs seeds base_seed..base_seed+n_runs-1; returns (summary, records)."""
     if n_runs < 1:
         raise ValueError("n_runs must be at least 1")
     setup = ocp.MethodSetup.build(cfg, method)
-    seeds = list(range(base_seed, base_seed + n_runs))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(
-                lambda s: run_closed_loop(cfg, method, s, setup=setup), seeds))
-    else:
-        records = [run_closed_loop(cfg, method, s, setup=setup) for s in seeds]
+    records = [run_closed_loop(cfg, method, s, setup=setup)
+               for s in range(base_seed, base_seed + n_runs)]
     return summarize(records, method), records
 
 
-def compare_methods(cfg: sc.ScenarioConfig, n_runs: int, base_seed: int,
-                    jobs: int = 1) -> dict:
+def compare_methods(cfg: sc.ScenarioConfig, n_runs: int, base_seed: int) -> dict:
     """All three methods on common random numbers, plus the headline ratios."""
-    summaries = {}
-    all_records = {}
-    for method in METHODS:
-        summary, records = monte_carlo(cfg, method, n_runs, base_seed, jobs=jobs)
-        summaries[method] = summary
-        all_records[method] = records
+    summaries = {m: monte_carlo(cfg, m, n_runs, base_seed)[0] for m in METHODS}
     g, s = summaries["granular"], summaries["single-rsmpc"]
     report = {
         "n_runs": n_runs,

@@ -65,40 +65,3 @@ def build_tube(model: LinearModel, K, eps: float, X: HPolytope, U: HPolytope) ->
     except EmptySetError as e:
         raise EmptySetError(f"input set vanished under tube tightening: {e}") from None
     return TubeSpec(Z=Z, KZ=KZ, Xbar=Xbar, Ubar=Ubar, K=K, Phi=Phi, alpha=alpha, s=s)
-
-
-def nominal_step(Phi, B, xbar, nu) -> np.ndarray:
-    """Disturbance-free nominal rollout step Phi xbar + B nu."""
-    Phi = np.asarray(Phi, dtype=float)
-    B = np.asarray(B, dtype=float)
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    if Phi.shape[1] != xbar.shape[0] or B.shape[1] != nu.shape[0]:
-        raise ValueError("dimension mismatch in nominal step")
-    return Phi @ xbar + B @ nu
-
-
-@dataclass(frozen=True)
-class InitialStateEncoding:
-    """Affine encoding of the tube-membership constraint x0 - xbar0 in Z.
-
-    xbar0 = (x0 - center) - generators @ beta with box bounds |beta_i| <= 1,
-    one auxiliary variable per generator.
-    """
-
-    offset: np.ndarray       # x0 - center of Z
-    generators: np.ndarray   # columns multiply the auxiliary beta variables
-
-    @property
-    def n_aux(self) -> int:
-        return self.generators.shape[1]
-
-    def xbar0(self, beta) -> np.ndarray:
-        return self.offset - self.generators @ np.atleast_1d(np.asarray(beta, dtype=float))
-
-
-def initial_state_constraint(Z: Zonotope, x0) -> InitialStateEncoding:
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0.shape[0] != Z.dim:
-        raise ValueError("state dimension mismatch")
-    return InitialStateEncoding(offset=x0 - Z.center, generators=Z.generators.copy())

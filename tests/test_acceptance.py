@@ -29,7 +29,7 @@ def _verdict(num, name, ok, detail):
 def battery(cfg):
     out = {}
     for method in simulate.METHODS:
-        summary, records = simulate.monte_carlo(cfg, method, N_RUNS, 0, jobs=1)
+        summary, records = simulate.monte_carlo(cfg, method, N_RUNS, 0)
         out[method] = (summary, records)
     return out
 

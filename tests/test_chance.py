@@ -1,15 +1,18 @@
 """Chance-constraint machinery: inverse error function, quantile margins,
-covariance propagation, and the deterministic reformulation residual."""
+covariance propagation, and the chance-tightened keep-outs as
+ocp.nonlinear_violation evaluates and linearizes them."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.special
 
-from granmpc.chance import (CovarianceSchedule, EllipseConstraint,
-                            HalfPlaneConstraint, deterministic_residual,
-                            erfinv, gamma, propagate_covariance)
+import granmpc.scenario as sc
+from granmpc import ocp
+from granmpc.chance import (CovarianceSchedule, erfinv, gamma,
+                            propagate_covariance)
 
 
 def test_erfinv_matches_scipy():
@@ -123,29 +126,85 @@ def _fd_gradient(fun, x, h=1e-6):
     return g
 
 
-def test_halfplane_gradient_finite_difference():
-    c = HalfPlaneConstraint(a=np.array([0.4, -1.3]), offset=2.0, p=0.8)
-    xi = np.array([0.7, -0.2])
-    assert np.allclose(c.gradient(xi), _fd_gradient(c.value, xi), atol=1e-7)
+def _keepout(cfg, setup, label, k):
+    """The assembled problem reduced to the one keep-out item `label` at
+    stage k: static rows and the coupling are cleared, so the violation
+    nonlinear_violation reports is that item's alone."""
+    start = np.array([cfg.start[0], 0.0, cfg.start[1], 0.0])
+    prob = ocp.assemble(setup, start, sc.DynamicObstacle.from_config(cfg))
+    item = next(i for i in prob.nonlinear if i.desc.label == label and i.desc.k == k)
+    prob = dataclasses.replace(prob, nonlinear=[item], a_static=np.zeros((0, prob.n_y)),
+                               b_static=np.zeros(0), a_eq=None, b_eq=None)
+    return prob, item
 
 
-def test_ellipse_gradient_finite_difference():
-    c = EllipseConstraint(center=np.array([1.0, -0.5]), a=2.0, b=1.5, p=0.8)
-    for xi in ([0.0, 0.0], [3.0, 1.0], [1.1, -0.4]):
-        assert np.allclose(c.gradient(xi),
-                           _fd_gradient(c.value, np.array(xi)), atol=1e-6)
+def _y_at(item, pos):
+    """A decision vector that puts the item's position at pos."""
+    y = np.linalg.pinv(item.S) @ (np.asarray(pos, dtype=float) - item.s)
+    assert np.allclose(item.S @ y + item.s, pos, atol=1e-9)
+    return y
 
 
-def test_deterministic_residual_sign():
-    sigma = 0.01 * np.eye(2)
-    c = HalfPlaneConstraint(a=np.array([0.0, 1.0]), offset=1.0, p=0.9)
-    # far inside the feasible side: positive residual
-    assert deterministic_residual(c, np.array([0.0, 0.0]), sigma) > 0
-    # on the nominal boundary: the margin makes it negative
-    assert deterministic_residual(c, np.array([0.0, 1.0]), sigma) < 0
-    g = gamma(c.gradient(np.zeros(2)), sigma, 0.9)
-    z = np.array([0.0, 1.0 - g])
-    assert deterministic_residual(c, z, sigma) == pytest.approx(0.0, abs=1e-12)
+def _ellipse_g(d, pos):
+    return ((pos[0] - d.center[0]) / d.a) ** 2 + ((pos[1] - d.center[1]) / d.b) ** 2 - 1.0
+
+
+def test_halfplane_gradient_finite_difference(cfg, setup_granular):
+    # the static box's lower edge, p_y <= y_max while p_x lies under the box
+    prob, item = _keepout(cfg, setup_granular, "chance_box_edge", cfg.ns + 2)
+    d = item.desc
+    y = _y_at(item, [0.5 * sum(d.x_range), d.y_max + 0.3])
+    v, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
+
+    def residual(yy):
+        return d.y_max - (item.S @ yy + item.s)[1]
+
+    assert a_nl.shape == (1, prob.n_y)
+    assert np.allclose(a_nl[0], -_fd_gradient(residual, y), atol=1e-7)
+    assert b_nl[0] - a_nl[0] @ y == pytest.approx(residual(y), abs=1e-9)
+    assert v == pytest.approx(0.3, abs=1e-9)
+    # away from the box the edge is inactive: no row and no violation
+    v, a_nl, b_nl = ocp.nonlinear_violation(prob, _y_at(item, [d.x_range[0] - 5.0, 3.0]))
+    assert v == 0.0 and a_nl.shape == (0, prob.n_y) and b_nl.shape == (0,)
+
+
+def test_ellipse_gradient_finite_difference(cfg, setup_granular):
+    # outside a chance keep-out the linearized row is minus the gradient of
+    # g(S y + s) in y, and its residual b - a.y is the tightened g - gamma
+    prob, item = _keepout(cfg, setup_granular, "chance_ellipse", cfg.ns + 3)
+    d = item.desc
+    sigma = np.asarray(d.sigma)
+
+    def g_of_y(yy):
+        return _ellipse_g(d, item.S @ yy + item.s)
+
+    for offset in ([1.3, 0.4], [-0.2, 1.6], [0.9, -1.1]):
+        pos = np.asarray(d.center) + offset
+        y = _y_at(item, pos)
+        _, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
+        assert _ellipse_g(d, pos) > 0.0
+        assert np.allclose(a_nl[0], -_fd_gradient(g_of_y, y), atol=1e-6)
+        grad = np.array([2.0 * (pos[0] - d.center[0]) / d.a ** 2,
+                         2.0 * (pos[1] - d.center[1]) / d.b ** 2])
+        expected = _ellipse_g(d, pos) - gamma(grad, sigma, d.p)
+        assert b_nl[0] - a_nl[0] @ y == pytest.approx(expected, abs=1e-9)
+
+
+def test_deterministic_residual_sign(cfg, setup_granular):
+    prob, item = _keepout(cfg, setup_granular, "chance_ellipse", cfg.ns + 3)
+    d = item.desc
+    sigma = np.asarray(d.sigma)
+    # on the nominal boundary (g = 0) the chance margin alone is violated
+    theta = 2.0
+    pos = np.asarray(d.center) + [d.a * np.cos(theta), d.b * np.sin(theta)]
+    grad = np.array([2.0 * np.cos(theta) / d.a, 2.0 * np.sin(theta) / d.b])
+    g = gamma(grad, sigma, d.p)
+    assert g > 0.0
+    v, _, _ = ocp.nonlinear_violation(prob, _y_at(item, pos))
+    assert v == pytest.approx(g, rel=1e-9)
+    # far outside, the tightened constraint holds
+    v, _, _ = ocp.nonlinear_violation(prob, _y_at(item, np.asarray(d.center) + [10.0 * d.a, 0.0]))
+    assert v == 0.0
 
 
 def test_covariance_schedule_indexing():

@@ -94,7 +94,7 @@ def test_config_flag_reads_back_echoed_file(tmp_path):
 def test_montecarlo_small_batch(tmp_path):
     out = tmp_path / "mc"
     rc = main(["montecarlo", "--method", "granular", "--runs", "2",
-               "--seed", "0", "--jobs", "2", "--out", str(out)])
+               "--seed", "0", "--out", str(out)])
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
     assert summary["n_runs"] == 2

@@ -1,4 +1,4 @@
-"""Model-layer tests: discrete dynamics, projections, stability helpers,
+"""Model-layer tests: discrete dynamics, stability helpers,
 and the Riccati solver checked against scipy's DARE."""
 
 import numpy as np
@@ -7,7 +7,7 @@ import scipy.linalg
 
 import granmpc.scenario as sc
 from granmpc.models import (GaussianNoise, LinearModel, ModelError,
-                            closed_loop, dare_residual, dlqr, project,
+                            closed_loop, dare_residual, dlqr,
                             spectral_radius, step)
 from granmpc.sets import Zonotope
 
@@ -56,17 +56,6 @@ def test_gaussian_noise_requires_psd():
     GaussianNoise(np.eye(2))
     with pytest.raises(ModelError):
         GaussianNoise(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_projection_splits_state_and_input():
-    pm = sc.projection_map()
-    x = np.array([1.0, 2.0, 3.0, 4.0])
-    u = np.array([5.0, 6.0])
-    xi, v = project(pm, x, u)
-    assert np.allclose(xi, [1.0, 3.0])   # positions
-    assert np.allclose(v, [2.0, 4.0])    # velocities act as coarse inputs
-    with pytest.raises(ModelError):
-        project(pm, x[:3], u)
 
 
 def test_spectral_radius():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import granmpc.scenario as sc
-from granmpc import ocp
+from granmpc import ocp, simulate
 from granmpc.models import step as model_step
 
 
@@ -208,3 +208,33 @@ def test_solution_trace_records_iterations(cfg, setup_granular):
                                      _obstacle(cfg)), trace=trace)
     assert len(trace) == sol.iterations
     assert all("violation" in row and "objective" in row for row in trace)
+
+
+def test_sqp_evaluates_each_point_once(cfg, setup_granular, monkeypatch):
+    # over a traced granular episode (two of its steps take the soft
+    # fallback), no solve_sqp call scores a point twice: each result is
+    # carried forward, and the reported violation is the executed plan's own
+    evaluate, solve = ocp.nonlinear_violation, ocp.solve_sqp
+    seen, repeats = set(), []
+    calls = 0
+
+    def counted(prob, y):
+        nonlocal calls
+        key = tuple(np.asarray(y).tolist())
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        calls += 1
+        return evaluate(prob, y)
+
+    def per_solve(prob, *args, **kwargs):
+        seen.clear()
+        sol = solve(prob, *args, **kwargs)
+        assert sol.violation == evaluate(prob, sol.y)[0]
+        return sol
+
+    monkeypatch.setattr(ocp, "nonlinear_violation", counted)
+    monkeypatch.setattr(ocp, "solve_sqp", per_solve)
+    rec = simulate.run_closed_loop(cfg, "granular", 0, setup=setup_granular, trace=[])
+    assert rec.softened_steps > 0
+    assert calls >= rec.steps and not repeats

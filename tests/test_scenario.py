@@ -37,6 +37,9 @@ def test_overrides_reject_unknown_key(cfg):
         cfg.with_overrides({"robot.warp_drive": "1"})
     with pytest.raises(sc.ConfigError):
         cfg.with_overrides({"nonsense": "1"})
+    # a key nothing read was removed, so overriding it is an error, not a no-op
+    with pytest.raises(sc.ConfigError):
+        cfg.with_overrides({"tube.generator_cap": "8"})
 
 
 def test_config_validation():

@@ -114,13 +114,6 @@ def test_summarize_arithmetic():
     assert s.mean_solve_curve == pytest.approx([20.0, 25.0])
 
 
-def test_monte_carlo_jobs_equivalence(cfg):
-    _, serial = monte_carlo(cfg, "granular", 2, 0, jobs=1)
-    _, threaded = monte_carlo(cfg, "granular", 2, 0, jobs=2)
-    for a, b in zip(serial, threaded):
-        assert canonical_record_bytes(a) == canonical_record_bytes(b)
-
-
 def test_monte_carlo_rejects_empty():
     with pytest.raises(ValueError):
         monte_carlo(sc.load_config(None), "granular", 0, 0)

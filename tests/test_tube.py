@@ -1,5 +1,5 @@
-"""Tube construction tests: invariance of the cross-section, consistency of
-the tightened sets, and the initial-state membership encoding."""
+"""Tube construction tests: invariance of the cross-section and consistency
+of the tightened sets."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ import pytest
 import granmpc.scenario as sc
 from granmpc.sets import (EmptySetError, Zonotope, linear_map, minkowski_sum,
                           support)
-from granmpc.tube import build_tube, initial_state_constraint, nominal_step
+from granmpc.tube import build_tube
 
 
 def test_tube_cross_section_invariance(tube, setup_granular):
@@ -63,30 +63,6 @@ def test_build_tube_empty_tightening_raises(cfg):
     with pytest.raises(EmptySetError):
         build_tube(big, gains.K, cfg.tube_eps,
                    sc.state_set(cfg), sc.input_set(cfg))
-
-
-def test_nominal_step_matches_tube_dynamics(tube, setup_granular):
-    rng = np.random.default_rng(37)
-    B = setup_granular.model.B
-    x = rng.normal(size=4)
-    nu = rng.normal(size=2)
-    assert np.allclose(nominal_step(tube.Phi, B, x, nu),
-                       tube.Phi @ x + B @ nu)
-
-
-def test_initial_state_encoding(tube):
-    rng = np.random.default_rng(43)
-    x0 = rng.normal(size=4)
-    enc = initial_state_constraint(tube.Z, x0)
-    assert enc.n_aux == tube.Z.n_generators
-    assert np.allclose(enc.xbar0(np.zeros(enc.n_aux)), x0 - tube.Z.center)
-    # every admissible beta puts the error x0 - xbar0 inside Z
-    for _ in range(10):
-        beta = rng.uniform(-1.0, 1.0, size=enc.n_aux)
-        err = x0 - enc.xbar0(beta)
-        assert tube.Z.contains(err, tol=1e-7)
-    with pytest.raises(ValueError):
-        initial_state_constraint(tube.Z, np.zeros(3))
 
 
 def test_tube_json_roundtrip_fields(tube):
