@@ -1,10 +1,17 @@
-"""Two-stage optimal control problem: assembly, SQP solver, control extraction.
+"""Two-stage optimal control problem: condensation, SQP solver, control extraction.
 
-The problem is condensed: decision variables are the initial-state auxiliaries
+The problem is condensed: decision variables y are the initial-state auxiliaries
 beta, the short-stage input offsets nu_k, and (for the granular method) the
-coarse input offsets c_k. Nominal trajectories are affine functions of the
-decision vector, so the cost is an exact quadratic and all nonlinearity lives
-in the keep-out ellipse constraints, which the SQP loop linearizes.
+coarse input offsets c_k. Nominal trajectories are linear in z = (y, x0), so
+the cost is an exact quadratic and all nonlinearity lives in the keep-out
+ellipse constraints, which the SQP loop linearizes.
+
+The problem is affine in the measured state x0 (the multiparametric-QP form of
+Bemporad, Morari, Dua & Pistikopoulos, Automatica 2002), so ``MethodSetup``
+condenses it once per method: the trajectory maps, the cost, the static rows,
+the coupling equality and each keep-out's position map, all on z. A step's
+``assemble`` computes only the cost terms f and c0, the right-hand sides
+b_static and b_eq, the keep-out offsets and the predicted obstacle centres.
 
 Each SQP iteration's QP is warm-started with the final active set of the QP
 before it, and the first QP of a closed-loop step with the active set the
@@ -32,6 +39,8 @@ from .tube import TubeSpec, build_tube
 METHODS = ("granular", "single-rsmpc", "single-rmpc")
 
 _EDGE_BUFFER = 0.25   # x-extent widening for conditional box-edge activation
+_TAIL_TOL = 1e-7      # a membership direction must decay below this 1-norm
+_MAX_POWERS = 200     # within this many powers of Phi'
 
 
 class OcpError(RuntimeError):
@@ -56,8 +65,7 @@ class SqpSettings:
                    soft_penalty=cfg.soft_penalty)
 
 
-def membership_rows(tube: TubeSpec, state_normals, K, tail_tol: float = 1e-7,
-                    max_powers: int = 200):
+def membership_rows(tube: TubeSpec, state_normals, K):
     """Half-space description of the initial-error freedom x0 - xbar0.
 
     Rows are (Phi^T)^k a <= h_Z((Phi^T)^k a) for every constraint normal a
@@ -67,11 +75,12 @@ def membership_rows(tube: TubeSpec, state_normals, K, tail_tol: float = 1e-7,
     valid even though the set of admissible initial errors is an outer
     approximation of Z.
 
-    Powers continue until the row has decayed below tail_tol, which makes the
+    Powers continue until the row has decayed below _TAIL_TOL, which makes the
     polytope invariant under the error recursion up to that tolerance: after
     a closed-loop shift every row of the new error follows from the next
     power at the old one, and the last (untelescoped) row is bounded by its
-    vanishing norm. A shifted feasible plan therefore stays feasible.
+    vanishing norm. A shifted feasible plan therefore stays feasible. A
+    direction still above _TAIL_TOL after _MAX_POWERS powers raises OcpError.
     """
     dirs = [np.asarray(a, dtype=float) for a in state_normals]
     for row in np.asarray(K, dtype=float):
@@ -80,18 +89,35 @@ def membership_rows(tube: TubeSpec, state_normals, K, tail_tol: float = 1e-7,
     rows, offsets = [], []
     for a in dirs:
         d = a
-        for _ in range(max_powers):
+        for _ in range(_MAX_POWERS):
             rows.append(d)
             offsets.append(support(tube.Z, d))
             d = tube.Phi.T @ d
-            if float(np.abs(d).sum()) < tail_tol:
+            if float(np.abs(d).sum()) < _TAIL_TOL:
                 break
+        else:
+            raise OcpError(f"membership direction {a.tolist()} keeps 1-norm "
+                           f"{np.abs(d).sum():.2e} after {_MAX_POWERS} powers of Phi'")
     return np.array(rows), np.array(offsets)
+
+
+def _frozen(a) -> np.ndarray:
+    """Read-only contiguous array: every step shares the setup's data."""
+    a = np.ascontiguousarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass
 class MethodSetup:
-    """Per-(config, method) precomputation shared across closed-loop steps."""
+    """Per-(config, method) data, built once and shared by every step.
+
+    Besides the tube, its membership rows and the covariance schedules, it
+    holds the problem condensed on z = (y, x0): maps from z to the
+    trajectories and the planned positions, the cost on z, and the static
+    rows, the coupling equality and the keep-out positions split into their
+    y and x0 columns. All arrays are read-only.
+    """
 
     method: str
     cfg: sc.ScenarioConfig
@@ -103,6 +129,25 @@ class MethodSetup:
     tube_rows_b: np.ndarray
     coarse_sched: Optional[chance.CovarianceSchedule]
     detail_sched: Optional[chance.CovarianceSchedule]
+    n_y: int                     # y = (beta, nu_0..nu_{n_nu-1}, c_0..c_{n_c-1})
+    n_nu: int
+    n_c: int                     # Nl for granular, else 0
+    kd: int                      # last detailed stage
+    traj_map: np.ndarray         # z -> (xbar_0..kd, ubar_0..kd-1, zeta_0..n_c, vbar_0..n_c-1)
+    pos_map: np.ndarray          # z -> positions, stages 0..N
+    cost_z: np.ndarray           # cost = z' cost_z z / 2 + grad_z . z + cost_const
+    grad_z: np.ndarray
+    cost_const: float
+    H: np.ndarray                # y-y block of cost_z + 1e-8 I
+    a_static: np.ndarray         # a_static y + static_x x0 <= static_ub
+    static_x: np.ndarray
+    static_ub: np.ndarray
+    static_labels: tuple
+    a_eq: Optional[np.ndarray]   # coupling a_eq y + eq_x x0 = 0 (granular)
+    eq_x: Optional[np.ndarray]
+    keepouts: tuple              # EllipseKeepout / EdgeKeepout i has position
+    keepout_S: np.ndarray        # keepout_S[i] y + keepout_x[i] x0
+    keepout_x: np.ndarray
 
     @classmethod
     def build(cls, cfg: sc.ScenarioConfig, method: str) -> "MethodSetup":
@@ -126,19 +171,128 @@ class MethodSetup:
                 detail_sched = chance.propagate_covariance(
                     gains.Phi, np.eye(4), (std * std) * np.eye(4),
                     np.zeros((4, 4)), cfg.nl)
-        return cls(method, cfg, model, coarse, gains, tube, tube_a, tube_b,
-                   coarse_sched, detail_sched)
+        return cls(method, cfg, model, coarse, gains, tube, _frozen(tube_a),
+                   _frozen(tube_b), coarse_sched, detail_sched,
+                   **_condense(cfg, method, model, gains, tube, tube_a, tube_b,
+                               coarse_sched, detail_sched))
+
+
+def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
+              coarse_sched, detail_sched) -> dict:
+    """The MethodSetup fields from n_y on."""
+    ns, nl, n_total = cfg.ns, cfg.nl, cfg.n_total
+    coarse_stage = coarse_sched is not None
+    kd = ns if coarse_stage else n_total          # last detailed stage index
+    n_nu = (ns + 1) if coarse_stage else n_total  # nu_0..nu_Ns or nu_0..nu_{N-1}
+    n_c = nl if coarse_stage else 0
+    n_beta = model.n_states
+    n_y = n_beta + 2 * n_nu + 2 * n_c
+    Phi, K, Phi_c, Kc = gains.Phi, gains.K, gains.Phi_c, gains.Kc
+    Cpos, Cvel = sc.POS_ROWS, sc.VEL_ROWS
+
+    def sel(start: int, width: int = 2) -> np.ndarray:
+        """Selector of z[start:start + width]."""
+        return np.eye(n_y + n_beta)[start:start + width]
+
+    # nominal detailed trajectory; the first n_beta decision variables hold
+    # the initial error x0 - xbar_0, constrained to the membership polytope
+    # around the tube cross-section
+    X = [sel(n_y, n_beta) - sel(0, n_beta)]
+    U = []
+    for k in range(kd):
+        nu = sel(n_beta + 2 * k)
+        U.append(K @ X[k] + nu)
+        X.append(Phi @ X[k] + model.B @ nu)
+    # coarse trajectory (granular long stage)
+    Zc, V = [], []
+    if coarse_stage:
+        Zc.append(Cpos @ X[ns])
+        for j in range(nl):
+            c = sel(n_beta + 2 * n_nu + 2 * j)
+            V.append(Kc @ Zc[j] + c)
+            Zc.append(Phi_c @ Zc[j] + cfg.dt * c)
+
+    # each stage quantity's maps, with the stage of the first one
+    maps = {"state": (0, X), "input": (0, U), "state_pos": (0, [Cpos @ Xk for Xk in X]),
+            "coarse_state": (ns, Zc), "coarse_input": (ns, V),
+            "coarse_rate": (ns + 1, [v1 - v0 for v0, v1 in zip(V, V[1:])])}
+
+    def quantity_map(quantity: str, k: int) -> np.ndarray:
+        first, stage_maps = maps[quantity]
+        return stage_maps[k - first]
+
+    # cost: sum of (M z - ref)' W (M z - ref) over the stage terms
+    Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
+    Qc, Rc = np.diag(cfg.qc_diag), np.diag(cfg.rc_diag)
+    x_t = np.array([cfg.target[0], 0.0, cfg.target[1], 0.0])
+    p_t = np.array(cfg.target, dtype=float)
+    p_term = p_t if cfg.terminal_cost == "target" else np.zeros(2)
+    z2 = np.zeros(2)
+    terms = [t for k in range(kd) for t in ((X[k], Q, x_t), (U[k], R, z2))]
+    if coarse_stage:
+        terms += [t for j in range(nl) for t in ((Zc[j], Qc, p_t), (V[j], Rc, z2))]
+        terms.append((Zc[nl], Qc, p_term))
+    else:
+        terms.append((Cpos @ X[kd], Qc, p_term))
+    cost_z = sum(2.0 * M.T @ W @ M for M, W, _ in terms)
+    grad_z = sum(-2.0 * M.T @ (W @ ref) for M, W, ref in terms)
+    cost_const = sum(float(ref @ W @ ref) for _, W, ref in terms)
+
+    descs: list = []
+    robust_last = kd if method == "single-rmpc" else min(ns, kd)
+    for k in range(robust_last + 1):
+        with_input = k < kd and (k < ns or method == "single-rmpc")
+        descs.extend(sc.build_rmpc_constraints(cfg, tube, k, with_input=with_input))
+    if coarse_stage:
+        for k in range(ns, n_total + 1):
+            rows = sc.build_smpc_constraints(cfg, k, coarse_sched[k - ns], "coarse",
+                                             with_input=k < n_total)
+            if k == ns:
+                rows = [d for d in rows if not (isinstance(d, sc.StageRow)
+                                                and d.quantity == "coarse_rate")]
+            descs.extend(rows)
+    elif detail_sched is not None:
+        for k in range(ns, n_total + 1):
+            descs.extend(sc.build_smpc_constraints(cfg, k, detail_sched[k - ns],
+                                                   "detailed", with_input=k < n_total))
+    stage_rows = [d for d in descs if isinstance(d, sc.StageRow)]
+    keepouts = [d for d in descs if not isinstance(d, sc.StageRow)]
+    # static rows: the initial-error membership (supports of the tube
+    # cross-section in the constraint directions propagated over the robust
+    # horizon), then the stage rows
+    static = np.vstack([tube_a @ sel(0, n_beta)]
+                       + [np.asarray(d.a) @ quantity_map(d.quantity, d.k) for d in stage_rows])
+    keep = np.array([quantity_map(d.quantity, d.k) for d in keepouts])
+    # coupling: c_0 = v_Ns - Kc zeta_Ns with v_Ns the nominal velocity
+    E = sel(n_beta + 2 * n_nu) - (Cvel - Kc @ Cpos) @ X[ns] if coarse_stage else None
+    return dict(
+        n_y=n_y, n_nu=n_nu, n_c=n_c, kd=kd,
+        traj_map=_frozen(np.vstack(X + U + Zc + V)),
+        pos_map=_frozen(np.vstack(maps["state_pos"][1] + Zc[1:])),
+        cost_z=_frozen(cost_z), grad_z=_frozen(grad_z), cost_const=cost_const,
+        # keep H strictly convex: beta and the unused junction offset nu_Ns
+        # otherwise have zero curvature
+        H=_frozen(cost_z[:n_y, :n_y] + 1e-8 * np.eye(n_y)),
+        a_static=_frozen(static[:, :n_y]), static_x=_frozen(static[:, n_y:]),
+        static_ub=_frozen(np.concatenate([tube_b, [d.ub for d in stage_rows]])),
+        static_labels=("tube_membership",) * len(tube_b) + tuple(d.label for d in stage_rows),
+        a_eq=None if E is None else _frozen(E[:, :n_y]),
+        eq_x=None if E is None else _frozen(E[:, n_y:]), keepouts=tuple(keepouts),
+        keepout_S=_frozen(keep[:, :, :n_y]), keepout_x=_frozen(keep[:, :, n_y:]))
 
 
 @dataclass
 class _NlItem:
-    desc: object          # EllipseKeepout or EdgeKeepout
-    S: np.ndarray         # position = S @ y + s
+    desc: object                 # EllipseKeepout or EdgeKeepout
+    S: np.ndarray                # position = S @ y + s
     s: np.ndarray
+    center: Optional[np.ndarray] = None   # predicted obstacle, for an ellipse
 
 
 @dataclass
 class OcpProblem:
+    """One step's problem: the setup's data plus the x0 and obstacle terms."""
+
     method: str
     cfg: sc.ScenarioConfig
     setup: MethodSetup
@@ -153,13 +307,8 @@ class OcpProblem:
     b_eq: Optional[np.ndarray]
     a_static: np.ndarray
     b_static: np.ndarray
-    static_labels: List[str]
+    static_labels: tuple
     nonlinear: List[_NlItem]
-    xbar_maps: list            # (S, s) for k = 0..Kd
-    ubar_maps: list            # (S, s) for k = 0..Kd-1
-    zeta_maps: list            # (S, s) for k = Ns..N (granular), else []
-    vbar_maps: list            # (S, s) for k = Ns..N-1 (granular), else []
-    obstacle_pred: Optional[np.ndarray]
 
     # -- slices --------------------------------------------------------------
     def nu_slice(self, k: int) -> slice:
@@ -178,23 +327,18 @@ class OcpProblem:
         return self.H @ np.asarray(y, dtype=float) + self.f
 
     def trajectories(self, y):
-        y = np.asarray(y, dtype=float)
-        xbar = np.array([S @ y + s for S, s in self.xbar_maps])
-        ubar = np.array([S @ y + s for S, s in self.ubar_maps])
-        if self.zeta_maps:
-            zeta = np.array([S @ y + s for S, s in self.zeta_maps])
-            vbar = np.array([S @ y + s for S, s in self.vbar_maps])
-        else:
-            zeta, vbar = None, None
-        return xbar, ubar, zeta, vbar
+        """(xbar, ubar, zeta, vbar); zeta and vbar are None without a coarse stage."""
+        st = self.setup
+        q = st.traj_map @ np.concatenate([y, self.x0])
+        i = 4 * (st.kd + 1)
+        j = i + 2 * st.kd
+        m = j + 2 * (st.n_c + 1)
+        zeta, vbar = (q[j:m].reshape(-1, 2), q[m:].reshape(-1, 2)) if st.n_c else (None, None)
+        return q[:i].reshape(-1, 4), q[i:j].reshape(-1, 2), zeta, vbar
 
     def positions(self, y) -> np.ndarray:
         """Planned positions over the full horizon (detailed then coarse)."""
-        xbar, _, zeta, _ = self.trajectories(y)
-        pos = xbar[:, [0, 2]]
-        if zeta is not None:
-            pos = np.vstack([pos, zeta[1:]])
-        return pos
+        return (self.setup.pos_map @ np.concatenate([y, self.x0])).reshape(-1, 2)
 
     def census(self) -> dict:
         out: dict = {}
@@ -208,202 +352,38 @@ class OcpProblem:
 
 
 def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = None) -> OcpProblem:
-    """Build the condensed QP data and constraint descriptors at state x0."""
-    cfg = setup.cfg
-    method = setup.method
+    """The problem at state x0: the setup's data with f, c0, b_static, b_eq
+    and the keep-out offsets from x0 and the ellipse centres predicted from
+    the obstacle (no ellipses without one)."""
     x0 = np.asarray(x0, dtype=float)
-    ns, nl, n_total = cfg.ns, cfg.nl, cfg.n_total
-    coarse_stage = method == "granular" and nl > 0
-    kd = ns if coarse_stage else n_total          # last detailed stage index
-    n_nu = (ns + 1) if coarse_stage else n_total  # nu_0..nu_Ns or nu_0..nu_{N-1}
-    n_beta = setup.model.n_states
-    n_y = n_beta + 2 * n_nu + (2 * nl if coarse_stage else 0)
-
-    Phi, K = setup.gains.Phi, setup.gains.K
-    Phi_c, Kc = setup.gains.Phi_c, setup.gains.Kc
-    B = setup.model.B
-    Cpos, Cvel = sc.POS_ROWS, sc.VEL_ROWS
-
-    prob = OcpProblem(
-        method=method, cfg=cfg, setup=setup, x0=x0, n_y=n_y, n_beta=n_beta,
-        n_nu=n_nu, H=np.zeros((n_y, n_y)), f=np.zeros(n_y), c0=0.0,
-        a_eq=None, b_eq=None, a_static=np.zeros((0, n_y)),
-        b_static=np.zeros(0), static_labels=[], nonlinear=[],
-        xbar_maps=[], ubar_maps=[], zeta_maps=[], vbar_maps=[],
-        obstacle_pred=None)
-
-    # nominal detailed trajectory maps; the first n_beta decision variables
-    # hold the initial error z = x0 - xbar_0, constrained to the membership
-    # polytope around the tube cross-section
-    S = np.zeros((4, n_y))
-    S[:, :n_beta] = -np.eye(n_beta)
-    s = x0.copy()
-    prob.xbar_maps.append((S, s))
-    for k in range(kd):
-        Su = K @ S
-        Su[:, prob.nu_slice(k)] += np.eye(2)
-        prob.ubar_maps.append((Su, K @ s))
-        S2 = Phi @ S
-        S2[:, prob.nu_slice(k)] += B
-        s = Phi @ s
-        S, s = S2, s
-        prob.xbar_maps.append((S, s))
-
-    # coarse trajectory maps (granular long stage)
-    if coarse_stage:
-        Sx, sx = prob.xbar_maps[ns]
-        Sz, sz = Cpos @ Sx, Cpos @ sx
-        prob.zeta_maps.append((Sz, sz))
-        for j in range(nl):
-            Sv = Kc @ Sz
-            Sv[:, prob.c_slice(j)] += np.eye(2)
-            prob.vbar_maps.append((Sv, Kc @ sz))
-            Sz2 = Phi_c @ Sz
-            Sz2[:, prob.c_slice(j)] += cfg.dt * np.eye(2)
-            sz = Phi_c @ sz
-            Sz, sz = Sz2, sz
-            prob.zeta_maps.append((Sz, sz))
-        # coupling: c_Ns = v_Ns - Kc * zeta_Ns with v_Ns the nominal velocity
-        M = Cvel - Kc @ Cpos
-        a_eq = -(M @ Sx)
-        a_eq[:, prob.c_slice(0)] += np.eye(2)
-        prob.a_eq, prob.b_eq = a_eq, M @ sx
-
-    _add_cost(prob)
-
-    obs_pred = None
+    n = setup.n_y
+    Hz, gz = setup.cost_z, setup.grad_z
+    pred = None
     if obstacle is not None:
-        obs_pred = sc.predict_obstacle(obstacle, n_total, cfg.dt)
-    prob.obstacle_pred = obs_pred
-    _add_constraints(prob, obs_pred)
-    return prob
-
-
-def _add_quad(prob: OcpProblem, S, s, W, ref):
-    d = s - ref
-    prob.H += 2.0 * S.T @ W @ S
-    prob.f += 2.0 * S.T @ (W @ d)
-    prob.c0 += float(d @ W @ d)
-
-
-def _add_cost(prob: OcpProblem):
-    cfg = prob.cfg
-    Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
-    Qc, Rc = np.diag(cfg.qc_diag), np.diag(cfg.rc_diag)
-    x_t = np.array([cfg.target[0], 0.0, cfg.target[1], 0.0])
-    p_t = np.array(cfg.target, dtype=float)
-    p_term = p_t if cfg.terminal_cost == "target" else np.zeros(2)
-    z2 = np.zeros(2)
-    kd = len(prob.xbar_maps) - 1
-    if prob.zeta_maps:
-        for k in range(cfg.ns):
-            _add_quad(prob, *prob.xbar_maps[k], Q, x_t)
-            _add_quad(prob, *prob.ubar_maps[k], R, z2)
-        for j in range(cfg.nl):
-            _add_quad(prob, *prob.zeta_maps[j], Qc, p_t)
-            _add_quad(prob, *prob.vbar_maps[j], Rc, z2)
-        _add_quad(prob, *prob.zeta_maps[cfg.nl], Qc, p_term)
-    else:
-        for k in range(kd):
-            _add_quad(prob, *prob.xbar_maps[k], Q, x_t)
-            _add_quad(prob, *prob.ubar_maps[k], R, z2)
-        Sx, sx = prob.xbar_maps[kd]
-        _add_quad(prob, sc.POS_ROWS @ Sx, sc.POS_ROWS @ sx, Qc, p_term)
-    # keep H strictly convex: beta and the unused junction offset nu_Ns
-    # otherwise have zero curvature
-    prob.H += 1e-8 * np.eye(prob.n_y)
-
-
-def _quantity_map(prob: OcpProblem, quantity: str, k: int):
-    cfg = prob.cfg
-    if quantity == "state":
-        return prob.xbar_maps[k]
-    if quantity == "input":
-        return prob.ubar_maps[k]
-    if quantity == "state_pos":
-        S, s = prob.xbar_maps[k]
-        return sc.POS_ROWS @ S, sc.POS_ROWS @ s
-    if quantity == "coarse_state":
-        return prob.zeta_maps[k - cfg.ns]
-    if quantity == "coarse_input":
-        return prob.vbar_maps[k - cfg.ns]
-    if quantity == "coarse_rate":
-        S1, s1 = prob.vbar_maps[k - cfg.ns]
-        S0, s0 = prob.vbar_maps[k - cfg.ns - 1]
-        return S1 - S0, s1 - s0
-    raise OcpError(f"unknown stage quantity {quantity!r}")
-
-
-def _add_constraints(prob: OcpProblem, obs_pred):
-    cfg = prob.cfg
-    method = prob.method
-    ns, nl, n_total = cfg.ns, cfg.nl, cfg.n_total
-    coarse_stage = bool(prob.zeta_maps)
-    kd = len(prob.xbar_maps) - 1
-    descs: list = []
-
-    def obs_at(k):
-        return obs_pred[k] if obs_pred is not None else (0.0, 0.0)
-
-    # robust (tube-tightened) stages
-    robust_last = kd if method == "single-rmpc" else min(ns, kd)
-    for k in range(robust_last + 1):
-        with_input = k < kd and (k < ns or method == "single-rmpc")
-        descs.extend(sc.build_rmpc_constraints(cfg, prob.setup.tube, k, obs_at(k),
-                                               with_input=with_input))
-
-    # chance stages
-    if method == "granular" and coarse_stage:
-        for k in range(ns, n_total + 1):
-            rows = sc.build_smpc_constraints(cfg, k, obs_at(k),
-                                             prob.setup.coarse_sched[k - ns], "coarse",
-                                             with_input=k < n_total)
-            if k == ns:
-                rows = [d for d in rows if not (isinstance(d, sc.StageRow)
-                                                and d.quantity == "coarse_rate")]
-            descs.extend(rows)
-    elif method == "single-rsmpc":
-        for k in range(ns, n_total + 1):
-            descs.extend(sc.build_smpc_constraints(cfg, k, obs_at(k),
-                                                   prob.setup.detail_sched[k - ns],
-                                                   "detailed", with_input=k < n_total))
-
-    if obs_pred is None:
-        descs = [d for d in descs if d.label not in ("robust_ellipse", "chance_ellipse")]
-
-    rows_a, rows_b, labels = [], [], []
-    # initial-error membership: supports of the tube cross-section in the
-    # constraint directions propagated over the robust horizon
-    for a_row, b_off in zip(prob.setup.tube_rows_a, prob.setup.tube_rows_b):
-        r = np.zeros(prob.n_y)
-        r[:prob.n_beta] = a_row
-        rows_a.append(r)
-        rows_b.append(float(b_off))
-        labels.append("tube_membership")
-
-    for d in descs:
-        if isinstance(d, sc.StageRow):
-            S, s = _quantity_map(prob, d.quantity, d.k)
-            a = np.asarray(d.a, dtype=float)
-            rows_a.append(a @ S)
-            rows_b.append(d.ub - float(a @ s))
-            labels.append(d.label)
-        else:
-            S, s = _quantity_map(prob, d.quantity, d.k)
-            prob.nonlinear.append(_NlItem(d, S, s))
-
-    prob.a_static = np.array(rows_a) if rows_a else np.zeros((0, prob.n_y))
-    prob.b_static = np.array(rows_b)
-    prob.static_labels = labels
+        pred = sc.predict_obstacle(obstacle, setup.cfg.n_total, setup.cfg.dt)
+    nonlinear = []
+    for d, S, s in zip(setup.keepouts, setup.keepout_S, setup.keepout_x @ x0):
+        if not isinstance(d, sc.EllipseKeepout):
+            nonlinear.append(_NlItem(d, S, s))
+        elif pred is not None:
+            nonlinear.append(_NlItem(d, S, s, pred[d.k]))
+    return OcpProblem(
+        method=setup.method, cfg=setup.cfg, setup=setup, x0=x0, n_y=n,
+        n_beta=setup.model.n_states, n_nu=setup.n_nu, H=setup.H,
+        f=Hz[:n, n:] @ x0 + gz[:n],
+        c0=float(0.5 * x0 @ Hz[n:, n:] @ x0 + gz[n:] @ x0 + setup.cost_const),
+        a_eq=setup.a_eq, b_eq=None if setup.eq_x is None else -(setup.eq_x @ x0),
+        a_static=setup.a_static, b_static=setup.static_ub - setup.static_x @ x0,
+        static_labels=setup.static_labels, nonlinear=nonlinear)
 
 
 # ---------------------------------------------------------------------------
 # nonlinear constraint evaluation
 
 
-def _ellipse_value_grad(desc, pt):
-    dx = (pt[0] - desc.center[0]) / desc.a
-    dy = (pt[1] - desc.center[1]) / desc.b
+def _ellipse_value_grad(desc, center, pt):
+    dx = (pt[0] - center[0]) / desc.a
+    dy = (pt[1] - center[1]) / desc.b
     g = dx * dx + dy * dy - 1.0
     grad = np.array([2.0 * dx / desc.a, 2.0 * dy / desc.b])
     return g, grad
@@ -414,7 +394,7 @@ def _margin(desc, grad) -> float:
     return 0.0 if desc.p is None else chance.gamma(grad, np.asarray(desc.sigma), desc.p)
 
 
-def _inner_lin_point(desc, pt):
+def _inner_lin_point(desc, center, pt):
     """Linearization point for a position inside the keep-out ellipse, None
     for one outside it (which is its own linearization point).
 
@@ -423,16 +403,16 @@ def _inner_lin_point(desc, pt):
     point falls back to the rear face, which is the side the robot approaches
     from.
     """
-    r = np.array([(pt[0] - desc.center[0]) / desc.a,
-                  (pt[1] - desc.center[1]) / desc.b])
+    r = np.array([(pt[0] - center[0]) / desc.a,
+                  (pt[1] - center[1]) / desc.b])
     rho = float(np.hypot(r[0], r[1]))
     if rho >= 1.0:
         return None
     if rho < 1e-9:
         r, rho = np.array([-1.0, 0.0]), 1.0
     r /= rho
-    return np.array([desc.center[0] + desc.a * r[0],
-                     desc.center[1] + desc.b * r[1]])
+    return np.array([center[0] + desc.a * r[0],
+                     center[1] + desc.b * r[1]])
 
 
 def _edge_active(desc, pt) -> bool:
@@ -457,14 +437,14 @@ def nonlinear_violation(prob: OcpProblem, y):
         pt = item.S @ y + item.s
         d = item.desc
         if isinstance(d, sc.EllipseKeepout):
-            g, grad = _ellipse_value_grad(d, pt)
+            g, grad = _ellipse_value_grad(d, item.center, pt)
             gam = _margin(d, grad)
             worst = max(worst, gam - g)
-            p_lin = _inner_lin_point(d, pt)
+            p_lin = _inner_lin_point(d, item.center, pt)
             if p_lin is None:
                 p_lin = pt
             else:
-                g, grad = _ellipse_value_grad(d, p_lin)
+                g, grad = _ellipse_value_grad(d, item.center, p_lin)
                 gam = _margin(d, grad)
             rows.append(-(grad @ item.S))
             # g(p) + grad.(xi - p) >= gamma, with xi affine in y
@@ -507,18 +487,19 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     by_stage: dict = {}
     for item in prob.nonlinear:
         if isinstance(item.desc, sc.EllipseKeepout):
-            by_stage.setdefault(item.desc.k, []).append(item.desc)
+            by_stage.setdefault(item.desc.k, []).append(item)
     for k in range(n_stage):
-        for d in by_stage.get(k, []):
+        for item in by_stage.get(k, []):
+            d, c = item.desc, item.center
             if d.p is None:
-                cap = d.center[0] - 1.1 * d.a
+                cap = c[0] - 1.1 * d.a
                 if p0[0] < cap:
                     p_ref[k, 0] = min(p_ref[k, 0], cap)
                 continue
-            dx = (p_ref[k, 0] - d.center[0]) / d.a
-            dy = (p_ref[k, 1] - d.center[1]) / d.b
+            dx = (p_ref[k, 0] - c[0]) / d.a
+            dy = (p_ref[k, 1] - c[1]) / d.b
             if dx * dx + dy * dy < 1.15:
-                lift = d.center[1] + 1.1 * d.b * np.sqrt(max(1.15 - dx * dx, 0.0))
+                lift = c[1] + 1.1 * d.b * np.sqrt(max(1.15 - dx * dx, 0.0))
                 p_ref[k, 1] = min(max(p_ref[k, 1], lift), cfg.lane_high - 0.2)
     v_ref = np.diff(p_ref, axis=0) / cfg.dt
     v_ref = np.clip(v_ref, -cfg.vel_limit, cfg.vel_limit)
@@ -528,7 +509,7 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
         kk = min(k, n_stage - 1)
         x_ref = np.array([p_ref[kk, 0], v_ref[kk, 0], p_ref[kk, 1], v_ref[kk, 1]])
         y[prob.nu_slice(k)] = -K @ x_ref
-    for j in range(len(prob.vbar_maps)):
+    for j in range(prob.setup.n_c):
         kk = min(cfg.ns + j, n_stage - 1)
         y[prob.c_slice(j)] = v_ref[kk] - Kc @ p_ref[kk]
     return y
@@ -565,12 +546,12 @@ def shift_warm_start(prob: OcpProblem, prev) -> np.ndarray:
         y[:prob.n_beta] = prob.x0 - xbar1
     # shift only the real input slots; granular keeps an extra unused
     # junction-offset slot at the end of the nu block
-    n_real = len(prob.xbar_maps) - 1
+    n_real = prob.setup.kd
     for k in range(n_real - 1):
         y[prob.nu_slice(k)] = prev_y[prob.nu_slice(k + 1)]
     if stitch_nu is not None:
         y[prob.nu_slice(n_real - 1)] = stitch_nu
-    n_c = len(prob.vbar_maps)
+    n_c = prob.setup.n_c
     for j in range(n_c - 1):
         y[prob.c_slice(j)] = prev_y[prob.c_slice(j + 1)]
     return y
@@ -583,7 +564,9 @@ def shift_warm_start(prob: OcpProblem, prev) -> np.ndarray:
 @dataclass
 class OcpSolution:
     y: np.ndarray
-    status: str                 # converged | max-iter | infeasible
+    # converged | max-iter (feasible, stopped at max_iter still moving) |
+    # violating (executed plan violates by more than violation_tol) | infeasible
+    status: str
     objective: float
     iterations: int
     qp_iterations: int
@@ -640,7 +623,6 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     # QP working set carried from each QP to the next (see the module docstring)
     active = warm_start.active_set if isinstance(warm_start, OcpSolution) else []
     softened = False
-    status = "max-iter"
     qp_total = 0
     it = 0
     stall = 0
@@ -726,11 +708,13 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     # feasible with lowest objective when any iterate was feasible, otherwise
     # lowest true violation (typically the shifted previous plan, the usual
     # recursive-feasibility fallback)
-    if best_v <= settings.violation_tol and it < settings.max_iter:
+    if best_v > settings.violation_tol:
+        status = "violating"
+    elif it < settings.max_iter or float(np.max(np.abs(step))) * t < settings.step_tol:
+        # at the cap the last step may still have been tiny
         status = "converged"
-    elif best_v <= settings.violation_tol and it == settings.max_iter:
-        # hit the cap but the last step may still have been tiny
-        status = "converged" if float(np.max(np.abs(step))) * t < settings.step_tol else "max-iter"
+    else:
+        status = "max-iter"
     return _make_solution(prob, best_y, status, it, qp_total, softened, t_start, active, best_v)
 
 
@@ -738,7 +722,7 @@ def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
                    t_start, active, violation) -> OcpSolution:
     xbar, ubar, zeta, vbar = prob.trajectories(y)
     nus = np.array([y[prob.nu_slice(k)] for k in range(prob.n_nu)])
-    n_c = len(prob.vbar_maps)
+    n_c = prob.setup.n_c
     cs = np.array([y[prob.c_slice(j)] for j in range(n_c)]) if n_c else None
     return OcpSolution(
         y=y.copy(), status=status, objective=prob.objective(y),

@@ -8,6 +8,7 @@ lane, past a dynamic obstacle and below a static box that narrows the road.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -21,6 +22,16 @@ from .sets import HPolytope, Zonotope
 
 class ConfigError(ValueError):
     pass
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 that also reads Python's exponent floats (1e-05) as floats."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
 
 
 @dataclass
@@ -151,7 +162,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
-        data = yaml.safe_load(io.StringIO(text))
+        data = yaml.load(io.StringIO(text), Loader=_Loader)
         if data is None:
             data = {}
         return cls.from_dict(data)
@@ -163,7 +174,7 @@ class ScenarioConfig:
             parts = dotted.split(".")
             if len(parts) != 2 or parts[0] not in self._LAYOUT or parts[1] not in self._LAYOUT[parts[0]]:
                 raise ConfigError(f"unknown config key {dotted!r}")
-            data[parts[0]][parts[1]] = yaml.safe_load(str(value))
+            data[parts[0]][parts[1]] = yaml.load(str(value), Loader=_Loader)
         return self.from_dict(data)
 
 
@@ -298,11 +309,12 @@ class StageRow:
 
 @dataclass(frozen=True)
 class EllipseKeepout:
-    """Exterior-of-ellipse constraint on the stage-k position."""
+    """Exterior-of-ellipse constraint on the stage-k position. The ellipse
+    is centred on the obstacle's predicted stage-k position, which each
+    closed-loop step supplies."""
 
     k: int
     quantity: str       # state_pos | coarse_state
-    center: tuple
     a: float
     b: float
     p: Optional[float]                 # None for robust (no tightening)
@@ -328,10 +340,10 @@ def _box_extent(corners) -> Tuple[float, float, float]:
     return min(xs), max(xs), min(ys)
 
 
-def build_rmpc_constraints(cfg: ScenarioConfig, tube_spec, k: int, obs_pos,
+def build_rmpc_constraints(cfg: ScenarioConfig, tube_spec, k: int,
                            with_input: bool = True) -> list:
     """Robust-stage constraints for prediction step k: tightened boxes, the
-    robust keep-out ellipse at the predicted obstacle position, and the robust
+    robust keep-out ellipse around the predicted obstacle, and the robust
     static-box lower edge."""
     out: list = []
     for a, ub in zip(tube_spec.Xbar.normals, tube_spec.Xbar.offsets):
@@ -339,15 +351,14 @@ def build_rmpc_constraints(cfg: ScenarioConfig, tube_spec, k: int, obs_pos,
     if with_input:
         for a, ub in zip(tube_spec.Ubar.normals, tube_spec.Ubar.offsets):
             out.append(StageRow(k, "input", tuple(a), float(ub), "ubar_box"))
-    out.append(EllipseKeepout(k, "state_pos", tuple(np.asarray(obs_pos, dtype=float)),
-                              cfg.robust_ellipse_a, cfg.robust_ellipse_b,
-                              None, None, "robust_ellipse"))
+    out.append(EllipseKeepout(k, "state_pos", cfg.robust_ellipse_a,
+                              cfg.robust_ellipse_b, None, None, "robust_ellipse"))
     x_lo, x_hi, y_lo = _box_extent(cfg.robust_box_corners)
     out.append(EdgeKeepout(k, "state_pos", (x_lo, x_hi), y_lo, "robust_box_edge"))
     return out
 
 
-def build_smpc_constraints(cfg: ScenarioConfig, k: int, obs_pos, sigma,
+def build_smpc_constraints(cfg: ScenarioConfig, k: int, sigma,
                            model_kind: str = "coarse", with_input: bool = True) -> list:
     """Chance-stage constraints for prediction step k, deterministically
     tightened with the stage covariance sigma.
@@ -382,8 +393,7 @@ def build_smpc_constraints(cfg: ScenarioConfig, k: int, obs_pos, sigma,
     out.append(EdgeKeepout(k, pos_quantity, (x_lo, x_hi), edge, "chance_box_edge"))
 
     # Keep-out ellipse around the predicted obstacle position.
-    out.append(EllipseKeepout(k, pos_quantity, tuple(np.asarray(obs_pos, dtype=float)),
-                              cfg.ellipse_a, cfg.ellipse_b, p,
+    out.append(EllipseKeepout(k, pos_quantity, cfg.ellipse_a, cfg.ellipse_b, p,
                               tuple(map(tuple, pos_sigma)), "chance_ellipse"))
 
     if model_kind == "coarse":

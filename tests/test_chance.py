@@ -145,8 +145,9 @@ def _y_at(item, pos):
     return y
 
 
-def _ellipse_g(d, pos):
-    return ((pos[0] - d.center[0]) / d.a) ** 2 + ((pos[1] - d.center[1]) / d.b) ** 2 - 1.0
+def _ellipse_g(item, pos):
+    d, c = item.desc, item.center
+    return ((pos[0] - c[0]) / d.a) ** 2 + ((pos[1] - c[1]) / d.b) ** 2 - 1.0
 
 
 def test_halfplane_gradient_finite_difference(cfg, setup_granular):
@@ -176,17 +177,17 @@ def test_ellipse_gradient_finite_difference(cfg, setup_granular):
     sigma = np.asarray(d.sigma)
 
     def g_of_y(yy):
-        return _ellipse_g(d, item.S @ yy + item.s)
+        return _ellipse_g(item, item.S @ yy + item.s)
 
     for offset in ([1.3, 0.4], [-0.2, 1.6], [0.9, -1.1]):
-        pos = np.asarray(d.center) + offset
+        pos = item.center + offset
         y = _y_at(item, pos)
         _, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
-        assert _ellipse_g(d, pos) > 0.0
+        assert _ellipse_g(item, pos) > 0.0
         assert np.allclose(a_nl[0], -_fd_gradient(g_of_y, y), atol=1e-6)
-        grad = np.array([2.0 * (pos[0] - d.center[0]) / d.a ** 2,
-                         2.0 * (pos[1] - d.center[1]) / d.b ** 2])
-        expected = _ellipse_g(d, pos) - gamma(grad, sigma, d.p)
+        grad = np.array([2.0 * (pos[0] - item.center[0]) / d.a ** 2,
+                         2.0 * (pos[1] - item.center[1]) / d.b ** 2])
+        expected = _ellipse_g(item, pos) - gamma(grad, sigma, d.p)
         assert b_nl[0] - a_nl[0] @ y == pytest.approx(expected, abs=1e-9)
 
 
@@ -196,14 +197,14 @@ def test_deterministic_residual_sign(cfg, setup_granular):
     sigma = np.asarray(d.sigma)
     # on the nominal boundary (g = 0) the chance margin alone is violated
     theta = 2.0
-    pos = np.asarray(d.center) + [d.a * np.cos(theta), d.b * np.sin(theta)]
+    pos = item.center + [d.a * np.cos(theta), d.b * np.sin(theta)]
     grad = np.array([2.0 * np.cos(theta) / d.a, 2.0 * np.sin(theta) / d.b])
     g = gamma(grad, sigma, d.p)
     assert g > 0.0
     v, _, _ = ocp.nonlinear_violation(prob, _y_at(item, pos))
     assert v == pytest.approx(g, rel=1e-9)
     # far outside, the tightened constraint holds
-    v, _, _ = ocp.nonlinear_violation(prob, _y_at(item, np.asarray(d.center) + [10.0 * d.a, 0.0]))
+    v, _, _ = ocp.nonlinear_violation(prob, _y_at(item, item.center + [10.0 * d.a, 0.0]))
     assert v == 0.0
 
 

@@ -1,6 +1,8 @@
 """Optimal-control-problem tests: condensed QP data, constraint census,
 the tube membership encoding, SQP behavior, and control extraction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,12 +27,105 @@ def test_unknown_method_rejected(cfg):
 def test_decision_vector_layout(cfg, setup_granular, setup_rsmpc):
     pg = ocp.assemble(setup_granular, _start_state(cfg))
     assert pg.n_y == 4 + 2 * (cfg.ns + 1) + 2 * cfg.nl
-    assert len(pg.xbar_maps) == cfg.ns + 1
-    assert len(pg.zeta_maps) == cfg.nl + 1
+    xbar, ubar, zeta, vbar = pg.trajectories(np.zeros(pg.n_y))
+    assert xbar.shape == (cfg.ns + 1, 4) and ubar.shape == (cfg.ns, 2)
+    assert zeta.shape == (cfg.nl + 1, 2) and vbar.shape == (cfg.nl, 2)
     ps = ocp.assemble(setup_rsmpc, _start_state(cfg))
     assert ps.n_y == 4 + 2 * cfg.n_total
-    assert len(ps.xbar_maps) == cfg.n_total + 1
-    assert not ps.zeta_maps
+    xbar, ubar, zeta, vbar = ps.trajectories(np.zeros(ps.n_y))
+    assert xbar.shape == (cfg.n_total + 1, 4) and ubar.shape == (cfg.n_total, 2)
+    assert zeta is None and vbar is None
+
+
+_SETUP_FIXTURE = {"granular": "setup_granular", "single-rsmpc": "setup_rsmpc",
+                  "single-rmpc": "setup_rmpc"}
+
+
+def _stage_cost(cfg, xbar, ubar, zeta, vbar):
+    """The OCP's stage-cost sum, recomputed from the planned trajectories."""
+    Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
+    Qc, Rc = np.diag(cfg.qc_diag), np.diag(cfg.rc_diag)
+    x_t = np.array([cfg.target[0], 0.0, cfg.target[1], 0.0])
+    p_t = np.array(cfg.target)
+    p_term = p_t if cfg.terminal_cost == "target" else np.zeros(2)
+
+    def quad(v, W):
+        return float(v @ W @ v)
+
+    cost = sum(quad(x - x_t, Q) for x in xbar[:-1]) + sum(quad(u, R) for u in ubar)
+    if zeta is None:
+        return cost + quad(xbar[-1][[0, 2]] - p_term, Qc)
+    cost += sum(quad(z - p_t, Qc) for z in zeta[:-1]) + sum(quad(v, Rc) for v in vbar)
+    return cost + quad(zeta[-1] - p_term, Qc)
+
+
+@pytest.mark.parametrize("method", ocp.METHODS)
+def test_problem_built_once_serves_every_state(cfg, method, request):
+    # one setup assembled at two states: each problem's objective is its
+    # plan's stage cost, its trajectories follow the models from its own x0,
+    # and the second assembly leaves the first problem's data untouched
+    setup = request.getfixturevalue(_SETUP_FIXTURE[method])
+    obs = _obstacle(cfg)
+    x_a, x_b = _start_state(cfg), np.array([4.0, 1.2, 0.8, -0.3])
+    first = ocp.assemble(setup, x_a, obs)
+    kept = (first.f.copy(), first.b_static.copy(), [i.s.copy() for i in first.nonlinear])
+    second = ocp.assemble(setup, x_b, obs)
+    A, B = setup.model.A, setup.model.B
+    rng = np.random.default_rng(11)
+    for prob, x0 in ((first, x_a), (second, x_b)):
+        for _ in range(3):
+            y = rng.normal(size=prob.n_y)
+            xbar, ubar, zeta, vbar = prob.trajectories(y)
+            assert np.allclose(xbar[0], x0 - y[:prob.n_beta], atol=1e-12)
+            assert np.allclose(xbar[1:], xbar[:-1] @ A.T + ubar @ B.T, atol=1e-9)
+            pos = xbar[:, [0, 2]]
+            if method == "granular":
+                assert np.allclose(zeta[0], xbar[-1][[0, 2]], atol=1e-12)
+                assert np.allclose(zeta[1:], zeta[:-1] + cfg.dt * vbar, atol=1e-9)
+                pos = np.vstack([pos, zeta[1:]])
+            else:
+                assert zeta is None and vbar is None
+            assert np.allclose(prob.positions(y), pos, atol=1e-12)
+            expected = _stage_cost(cfg, xbar, ubar, zeta, vbar) + 0.5e-8 * y @ y
+            assert prob.objective(y) == pytest.approx(expected, rel=1e-10)
+    # a plan whose initial error absorbs the change of x0 has the same nominal
+    # trajectory, so every stage row residual, keep-out position and stage
+    # cost carries over (the membership rows bound the initial error itself)
+    y = rng.normal(size=first.n_y)
+    y_b = y.copy()
+    y_b[:first.n_beta] += x_b - x_a
+    stage = np.array(first.static_labels) != "tube_membership"
+    assert np.allclose((first.a_static @ y - first.b_static)[stage],
+                       (second.a_static @ y_b - second.b_static)[stage], atol=1e-9)
+    if first.a_eq is not None:
+        assert np.allclose(first.a_eq @ y - first.b_eq, second.a_eq @ y_b - second.b_eq,
+                           atol=1e-9)
+    assert all(np.allclose(i.S @ y + i.s, j.S @ y_b + j.s, atol=1e-9)
+               for i, j in zip(first.nonlinear, second.nonlinear))
+    assert first.objective(y) - 0.5e-8 * y @ y == pytest.approx(
+        second.objective(y_b) - 0.5e-8 * y_b @ y_b, rel=1e-10)
+    assert np.array_equal(first.f, kept[0]) and np.array_equal(first.b_static, kept[1])
+    assert all(np.array_equal(i.s, s) for i, s in zip(first.nonlinear, kept[2]))
+    assert [i.center.tolist() for i in first.nonlinear if i.center is not None] == \
+        [i.center.tolist() for i in second.nonlinear if i.center is not None]
+    # the shared setup data refuses in-place edits
+    shared = [getattr(setup, f.name) for f in dataclasses.fields(setup)]
+    shared = [a for a in shared if isinstance(a, np.ndarray)]
+    assert len(shared) >= 12 and not any(a.flags.writeable for a in shared)
+    for arr in (first.H, first.a_static, first.nonlinear[0].S):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_membership_rows_refuse_a_slow_tail(cfg, setup_granular):
+    # with a weak error feedback the directions do not decay within the
+    # power cap; truncating them would break the polytope's invariance
+    assert len(setup_granular.tube_rows_b) == 820
+    slow = cfg.with_overrides({"robot.disturbance_bound": "0.01",
+                               "robot.disturbance_pos_bound": "0.003",
+                               "gains.k_gain": "[[0.1,0.8,0,0],[0,0,0.1,0.8]]"})
+    with pytest.raises(ocp.OcpError, match="powers"):
+        ocp.MethodSetup.build(slow, "granular")
 
 
 def test_objective_gradient_finite_difference(cfg, setup_granular):
@@ -189,10 +284,16 @@ def test_degenerate_horizon_without_coarse_stage(cfg):
     assert setup.coarse_sched is None
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
     assert prob.n_y == 4 + 2 * short.ns
-    assert not prob.zeta_maps
+    assert prob.trajectories(np.zeros(prob.n_y))[2] is None
     sol = ocp.solve_sqp(prob)
     assert sol.status == "converged"
     assert sol.cs is None
+    # single-rsmpc without a chance stage is the robust problem over Ns steps
+    setup = ocp.MethodSetup.build(short, "single-rsmpc")
+    assert setup.detail_sched is None
+    prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
+    assert "chance_ellipse" not in prob.census()
+    assert ocp.solve_sqp(prob).status == "converged"
 
 
 def test_planned_positions_cover_full_horizon(cfg, setup_granular):
@@ -238,3 +339,24 @@ def test_sqp_evaluates_each_point_once(cfg, setup_granular, monkeypatch):
     rec = simulate.run_closed_loop(cfg, "granular", 0, setup=setup_granular, trace=[])
     assert rec.softened_steps > 0
     assert calls >= rec.steps and not repeats
+
+
+def test_step_status_names_a_violating_plan(cfg, setup_granular, monkeypatch):
+    # granular seed 0 executes two softened plans that still violate their
+    # rows: they must read "violating", and "max-iter" is left for a feasible
+    # plan stopped at the iteration cap
+    solve, sols = ocp.solve_sqp, []
+
+    def recorded(*args, **kwargs):
+        sols.append(solve(*args, **kwargs))
+        return sols[-1]
+
+    monkeypatch.setattr(ocp, "solve_sqp", recorded)
+    rec = simulate.run_closed_loop(cfg, "granular", 0, setup=setup_granular)
+    tol = cfg.sqp_violation_tol
+    assert [e.status for e in rec.entries] == [s.status for s in sols]
+    assert sum(s.violation > tol for s in sols) >= 2
+    for s in sols:
+        assert (s.status == "violating") == (s.violation > tol)
+        if s.status == "max-iter":
+            assert s.iterations == cfg.sqp_max_iter

@@ -3,9 +3,48 @@ constraint builders, and the terminal pass/collision bookkeeping."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import granmpc.scenario as sc
 from granmpc import chance
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _floats(n):
+    return st.tuples(*[FLOATS] * n)
+
+
+@st.composite
+def configs(draw):
+    """Valid configurations: every float field any finite float, the
+    validated fields within their ranges, and both values of each mode."""
+    ns, nl = draw(st.tuples(st.integers(0, 40), st.integers(0, 40))
+                  .filter(lambda h: h[0] + h[1] > 0))
+    return sc.ScenarioConfig(
+        start=draw(_floats(2)), target=draw(_floats(2)),
+        robot_radius=draw(FLOATS), max_steps=draw(st.integers(1, 10 ** 6)),
+        dt=draw(st.floats(min_value=1e-300, max_value=1e300)),
+        disturbance_bound=draw(FLOATS),
+        disturbance_pos_bound=draw(FLOATS),
+        disturbance_mode=draw(st.sampled_from(("velocity", "full"))),
+        realized_disturbance=draw(st.sampled_from(("uniform", "truncated_gaussian"))),
+        obstacle_velocity=draw(_floats(2)),
+        box_corners=draw(st.tuples(*[_floats(2)] * 4)),
+        q_diag=draw(_floats(4)), r_diag=draw(_floats(2)),
+        terminal_cost=draw(st.sampled_from(("target", "origin"))),
+        k_gain=draw(st.tuples(_floats(4), _floats(4))),
+        sigma_w_diag=draw(_floats(2)),
+        risk=draw(st.floats(min_value=0.5, max_value=1.0, exclude_max=True)),
+        ns=ns, nl=nl, tube_eps=draw(FLOATS), soft_penalty=draw(FLOATS))
+
+
+def _cli_text(value) -> str:
+    """A value as written after --set section.key= on the command line."""
+    if isinstance(value, tuple):
+        return "[" + ", ".join(_cli_text(v) for v in value) + "]"
+    return str(value)
 
 
 def test_config_yaml_roundtrip_is_canonical(cfg):
@@ -13,6 +52,22 @@ def test_config_yaml_roundtrip_is_canonical(cfg):
     again = sc.ScenarioConfig.from_yaml(text)
     assert again == cfg
     assert again.to_yaml() == text
+
+
+@PROPERTY
+@given(configs())
+def test_config_yaml_roundtrip_property(c):
+    assert sc.ScenarioConfig.from_yaml(c.to_yaml()) == c
+
+
+@PROPERTY
+@given(configs())
+def test_overrides_read_back_property(c):
+    # every key overridden with the text of the generated value reads back
+    # as that value
+    overrides = {f"{section}.{key}": _cli_text(getattr(c, key))
+                 for section, keys in sc.ScenarioConfig._LAYOUT.items() for key in keys}
+    assert sc.ScenarioConfig().with_overrides(overrides) == c
 
 
 def test_config_file_loading(tmp_path):
@@ -94,7 +149,7 @@ def test_state_and_input_sets(cfg):
 
 
 def test_rmpc_constraints_content(cfg, tube):
-    rows = sc.build_rmpc_constraints(cfg, tube, k=3, obs_pos=(5.0, 0.0))
+    rows = sc.build_rmpc_constraints(cfg, tube, k=3)
     labels = [r.label for r in rows]
     assert labels.count("xbar_box") == 6
     assert labels.count("ubar_box") == 4
@@ -108,9 +163,9 @@ def test_rmpc_constraints_content(cfg, tube):
 def test_smpc_constraints_tighten_with_risk(cfg, setup_granular):
     sigma = setup_granular.coarse_sched[5]
     lo = sc.build_smpc_constraints(cfg.with_overrides({"stochastic.risk": "0.6"}),
-                                   5, (5.0, 0.0), sigma)
+                                   5, sigma)
     hi = sc.build_smpc_constraints(cfg.with_overrides({"stochastic.risk": "0.95"}),
-                                   5, (5.0, 0.0), sigma)
+                                   5, sigma)
     lane_lo = [r.ub for r in lo if getattr(r, "label", "") == "chance_lane"]
     lane_hi = [r.ub for r in hi if getattr(r, "label", "") == "chance_lane"]
     assert all(h < l for l, h in zip(lane_lo, lane_hi))
@@ -118,7 +173,7 @@ def test_smpc_constraints_tighten_with_risk(cfg, setup_granular):
 
 def test_smpc_constraints_lane_margin_value(cfg, setup_granular):
     sigma = setup_granular.coarse_sched[3]
-    rows = sc.build_smpc_constraints(cfg, 3, (5.0, 0.0), sigma)
+    rows = sc.build_smpc_constraints(cfg, 3, sigma)
     g = chance.gamma(np.array([0.0, 1.0]), sigma, cfg.risk)
     ubs = sorted(r.ub for r in rows if getattr(r, "label", "") == "chance_lane")
     assert ubs == pytest.approx(sorted([cfg.lane_high - g, -cfg.lane_low - g]))
@@ -126,14 +181,13 @@ def test_smpc_constraints_lane_margin_value(cfg, setup_granular):
 
 def test_smpc_constraints_detailed_kind(cfg, setup_rsmpc):
     sigma = setup_rsmpc.detail_sched[4]
-    rows = sc.build_smpc_constraints(cfg, 4, (5.0, 0.0), sigma,
-                                     model_kind="detailed")
+    rows = sc.build_smpc_constraints(cfg, 4, sigma, model_kind="detailed")
     labels = [r.label for r in rows]
     assert labels.count("chance_velocity") == 4
     assert labels.count("input_box") == 4
     assert "coarse_input_box" not in labels
     with pytest.raises(ValueError):
-        sc.build_smpc_constraints(cfg, 4, (5.0, 0.0), sigma, model_kind="huge")
+        sc.build_smpc_constraints(cfg, 4, sigma, model_kind="huge")
 
 
 def test_collision_and_pass_check(cfg):
