@@ -117,14 +117,15 @@ def _quantile(p: float) -> float:
     return erfinv(2.0 * p - 1.0)
 
 
-def gamma(grad_g, sigma, p: float) -> float:
-    """Deterministic tightening margin for risk parameter p in [0.5, 1)."""
+def gamma(grad_g, sigma, p: float):
+    """Deterministic tightening margin for risk parameter p in [0.5, 1): a float
+    for one gradient (n,), an array for stacked gradients (..., n) and
+    covariances (..., n, n)."""
     q = _quantile(p)
     grad_g = np.atleast_1d(np.asarray(grad_g, dtype=float))
     sigma = np.asarray(sigma, dtype=float)
-    var = float(grad_g @ sigma @ grad_g)
-    if var < 0.0:
-        if var < -1e-10:
-            raise ValueError("negative constraint variance (sigma not PSD?)")
-        var = 0.0
-    return math.sqrt(2.0 * var) * q
+    var = np.einsum("...i,...ij,...j->...", grad_g, sigma, grad_g)
+    if np.min(var, initial=0.0) < -1e-10:
+        raise ValueError("negative constraint variance (sigma not PSD?)")
+    margin = np.sqrt(2.0 * np.maximum(var, 0.0)) * q
+    return float(margin) if margin.ndim == 0 else margin

@@ -13,10 +13,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# one BLAS thread unless the user set one: on problems this small more threads
+# cost more than they save (set before numpy loads)
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 from . import ocp, scenario as sc, simulate
 from .sets import SetError
@@ -109,25 +115,23 @@ def _cmd_build_sets(args) -> int:
     return 0
 
 
-def _run_batch(args, cfg, out: Path, write_runs: bool) -> int:
+def _cmd_batch(args) -> int:
+    """run and montecarlo; run also writes each episode's JSONL."""
+    cfg = _load_config(args)
+    out = _prepare_out(args, cfg)
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
-    if args.debug_trace and args.command == "run":
-        setup = ocp.MethodSetup.build(cfg, args.method)
-        records = []
-        for seed in range(args.seed, args.seed + args.runs):
-            trace: list = []
-            rec = simulate.run_closed_loop(cfg, args.method, seed, setup=setup,
-                                           trace=trace)
-            records.append(rec)
-            tpath = out / f"trace_{args.method}_{seed}.jsonl"
-            with open(tpath, "w", encoding="utf-8") as fh:
-                for row in trace:
-                    fh.write(json.dumps(row) + "\n")
-        summary = simulate.summarize(records, args.method)
-    else:
-        summary, records = simulate.monte_carlo(cfg, args.method, args.runs, args.seed)
-    if write_runs:
+    setup = ocp.MethodSetup.build(cfg, args.method)
+    records = []
+    for seed in range(args.seed, args.seed + args.runs):
+        trace = [] if args.debug_trace else None
+        records.append(simulate.run_closed_loop(cfg, args.method, seed, setup=setup,
+                                                trace=trace))
+        if trace is not None:
+            with open(out / f"trace_{args.method}_{seed}.jsonl", "w", encoding="utf-8") as fh:
+                fh.writelines(json.dumps(row) + "\n" for row in trace)
+    summary = simulate.summarize(records, args.method)
+    if args.command == "run":
         for rec in records:
             simulate.write_run_jsonl(rec, out / f"run_{rec.method}_{rec.seed}.jsonl")
     simulate.write_summary_csv(records, out / "summary.csv")
@@ -139,18 +143,6 @@ def _run_batch(args, cfg, out: Path, write_runs: bool) -> int:
           f"mean cost {summary.mean_cumulative_cost:.2f}, "
           f"mean solve {summary.mean_solve_ms:.2f} ms")
     return 0
-
-
-def _cmd_run(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
-    return _run_batch(args, cfg, out, write_runs=True)
-
-
-def _cmd_montecarlo(args) -> int:
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
-    return _run_batch(args, cfg, out, write_runs=False)
 
 
 def _cmd_compare(args) -> int:
@@ -177,8 +169,8 @@ class UsageError(ValueError):
 
 _COMMANDS = {
     "build-sets": _cmd_build_sets,
-    "run": _cmd_run,
-    "montecarlo": _cmd_montecarlo,
+    "run": _cmd_batch,
+    "montecarlo": _cmd_batch,
     "compare": _cmd_compare,
 }
 

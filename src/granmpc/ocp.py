@@ -9,9 +9,11 @@ ellipse constraints, which the SQP loop linearizes.
 The problem is affine in the measured state x0 (the multiparametric-QP form of
 Bemporad, Morari, Dua & Pistikopoulos, Automatica 2002), so ``MethodSetup``
 condenses it once per method: the trajectory maps, the cost, the static rows,
-the coupling equality and each keep-out's position map, all on z. A step's
-``assemble`` computes only the cost terms f and c0, the right-hand sides
-b_static and b_eq, the keep-out offsets and the predicted obstacle centres.
+the coupling equality and the keep-outs, stacked into arrays (``Keepouts``)
+with their position maps on z. A step's ``assemble`` computes only the cost
+terms f and c0, the right-hand sides b_static and b_eq, the keep-out offsets
+and the predicted obstacle centres, and ``nonlinear_violation`` evaluates every
+keep-out in one batched pass.
 
 Each SQP iteration's QP is warm-started with the final active set of the QP
 before it, and the first QP of a closed-loop step with the active set the
@@ -25,8 +27,9 @@ wrong guess costs QP iterations, never the QP's result.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -103,9 +106,61 @@ def membership_rows(tube: TubeSpec, state_normals, K):
 
 def _frozen(a) -> np.ndarray:
     """Read-only contiguous array: every step shares the setup's data."""
-    a = np.ascontiguousarray(a, dtype=float)
+    a = np.ascontiguousarray(a)
     a.setflags(write=False)
     return a
+
+
+@dataclass(frozen=True)
+class Keepouts:
+    """A method's keep-outs, stacked once: item i's position is S[i] y + x[i] x0.
+
+    Items keep their descriptors' order, the order of their QP rows. An
+    ellipse keeps its position outside the ellipse around the obstacle's
+    predicted position at its stage, by the chance margin for the risk all
+    chance ellipses share (zero covariance and margin for a robust one). A box
+    edge bounds p_y while p_x lies within its x-range widened by _EDGE_BUFFER.
+    """
+
+    labels: tuple
+    S: np.ndarray                # (m, 2, n_y)
+    x: np.ndarray                # (m, 2, n_x)
+    ellipse: np.ndarray          # (m,) True for an ellipse, False for a box edge
+    stage: np.ndarray            # (me,) each ellipse's stage, which picks its centre
+    axes: np.ndarray             # (me, 2) semi-axes
+    sigma: np.ndarray            # (me, 2, 2) position covariance
+    robust: np.ndarray           # (me,)
+    risk: float                  # 0.5 (a zero quantile) without chance ellipses
+    x_range: np.ndarray          # (ne, 2)
+    y_max: np.ndarray            # (ne,)
+
+    @classmethod
+    def stack(cls, descs, maps: np.ndarray, n_y: int) -> "Keepouts":
+        """From the descriptors and their position maps (m, 2, n_z) on z = (y, x0)."""
+        ell = [d for d in descs if isinstance(d, sc.EllipseKeepout)]
+        edges = [d for d in descs if not isinstance(d, sc.EllipseKeepout)]
+        risks = {d.p for d in ell if d.p is not None} or {0.5}
+        if len(risks) > 1:
+            raise OcpError(f"chance keep-outs with different risk parameters {sorted(risks)}")
+        return cls(
+            labels=tuple(d.label for d in descs),
+            S=_frozen(maps[:, :, :n_y]), x=_frozen(maps[:, :, n_y:]),
+            ellipse=_frozen([isinstance(d, sc.EllipseKeepout) for d in descs]),
+            stage=_frozen(np.array([d.k for d in ell], dtype=int)),
+            axes=_frozen(np.reshape([[d.a, d.b] for d in ell], (-1, 2))),
+            sigma=_frozen(np.reshape([np.zeros((2, 2)) if d.p is None else d.sigma for d in ell],
+                                     (-1, 2, 2))),
+            robust=_frozen([d.p is None for d in ell]), risk=risks.pop(),
+            x_range=_frozen(np.reshape([d.x_range for d in edges], (-1, 2))),
+            y_max=_frozen([float(d.y_max) for d in edges]))
+
+
+class KeepoutTerms(NamedTuple):
+    """A step's keep-out terms: the offsets x x0 (m, 2) and the ellipse
+    centres (me, 2), None without an obstacle (then only box edges apply)."""
+
+    offsets: np.ndarray
+    centers: Optional[np.ndarray]
 
 
 @dataclass
@@ -114,9 +169,9 @@ class MethodSetup:
 
     Besides the tube, its membership rows and the covariance schedules, it
     holds the problem condensed on z = (y, x0): maps from z to the
-    trajectories and the planned positions, the cost on z, and the static
-    rows, the coupling equality and the keep-out positions split into their
-    y and x0 columns. All arrays are read-only.
+    trajectories and the planned positions, the cost on z, the static rows
+    and the coupling equality split into their y and x0 columns, and the
+    stacked keep-outs. All arrays are read-only.
     """
 
     method: str
@@ -145,9 +200,7 @@ class MethodSetup:
     static_labels: tuple
     a_eq: Optional[np.ndarray]   # coupling a_eq y + eq_x x0 = 0 (granular)
     eq_x: Optional[np.ndarray]
-    keepouts: tuple              # EllipseKeepout / EdgeKeepout i has position
-    keepout_S: np.ndarray        # keepout_S[i] y + keepout_x[i] x0
-    keepout_x: np.ndarray
+    keepouts: Keepouts
 
     @classmethod
     def build(cls, cfg: sc.ScenarioConfig, method: str) -> "MethodSetup":
@@ -183,7 +236,7 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
     ns, nl, n_total = cfg.ns, cfg.nl, cfg.n_total
     coarse_stage = coarse_sched is not None
     kd = ns if coarse_stage else n_total          # last detailed stage index
-    n_nu = (ns + 1) if coarse_stage else n_total  # nu_0..nu_Ns or nu_0..nu_{N-1}
+    n_nu = kd                                     # nu_0..nu_{kd-1}
     n_c = nl if coarse_stage else 0
     n_beta = model.n_states
     n_y = n_beta + 2 * n_nu + 2 * n_c
@@ -256,13 +309,13 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
             descs.extend(sc.build_smpc_constraints(cfg, k, detail_sched[k - ns],
                                                    "detailed", with_input=k < n_total))
     stage_rows = [d for d in descs if isinstance(d, sc.StageRow)]
-    keepouts = [d for d in descs if not isinstance(d, sc.StageRow)]
+    keep_descs = [d for d in descs if not isinstance(d, sc.StageRow)]
     # static rows: the initial-error membership (supports of the tube
     # cross-section in the constraint directions propagated over the robust
     # horizon), then the stage rows
     static = np.vstack([tube_a @ sel(0, n_beta)]
                        + [np.asarray(d.a) @ quantity_map(d.quantity, d.k) for d in stage_rows])
-    keep = np.array([quantity_map(d.quantity, d.k) for d in keepouts])
+    keep = np.array([quantity_map(d.quantity, d.k) for d in keep_descs])
     # coupling: c_0 = v_Ns - Kc zeta_Ns with v_Ns the nominal velocity
     E = sel(n_beta + 2 * n_nu) - (Cvel - Kc @ Cpos) @ X[ns] if coarse_stage else None
     return dict(
@@ -270,23 +323,15 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
         traj_map=_frozen(np.vstack(X + U + Zc + V)),
         pos_map=_frozen(np.vstack(maps["state_pos"][1] + Zc[1:])),
         cost_z=_frozen(cost_z), grad_z=_frozen(grad_z), cost_const=cost_const,
-        # keep H strictly convex: beta and the unused junction offset nu_Ns
-        # otherwise have zero curvature
+        # every variable enters the cost (the smallest eigenvalue is about
+        # 0.03 on the default config); the ridge guards configs with zero weights
         H=_frozen(cost_z[:n_y, :n_y] + 1e-8 * np.eye(n_y)),
         a_static=_frozen(static[:, :n_y]), static_x=_frozen(static[:, n_y:]),
         static_ub=_frozen(np.concatenate([tube_b, [d.ub for d in stage_rows]])),
         static_labels=("tube_membership",) * len(tube_b) + tuple(d.label for d in stage_rows),
         a_eq=None if E is None else _frozen(E[:, :n_y]),
-        eq_x=None if E is None else _frozen(E[:, n_y:]), keepouts=tuple(keepouts),
-        keepout_S=_frozen(keep[:, :, :n_y]), keepout_x=_frozen(keep[:, :, n_y:]))
-
-
-@dataclass
-class _NlItem:
-    desc: object                 # EllipseKeepout or EdgeKeepout
-    S: np.ndarray                # position = S @ y + s
-    s: np.ndarray
-    center: Optional[np.ndarray] = None   # predicted obstacle, for an ellipse
+        eq_x=None if E is None else _frozen(E[:, n_y:]),
+        keepouts=Keepouts.stack(keep_descs, keep, n_y))
 
 
 @dataclass
@@ -308,7 +353,7 @@ class OcpProblem:
     a_static: np.ndarray
     b_static: np.ndarray
     static_labels: tuple
-    nonlinear: List[_NlItem]
+    nonlinear: KeepoutTerms      # an empty sequence means no keep-outs
 
     # -- slices --------------------------------------------------------------
     def nu_slice(self, k: int) -> slice:
@@ -341,11 +386,11 @@ class OcpProblem:
         return (self.setup.pos_map @ np.concatenate([y, self.x0])).reshape(-1, 2)
 
     def census(self) -> dict:
-        out: dict = {}
-        for lbl in self.static_labels:
-            out[lbl] = out.get(lbl, 0) + 1
-        for item in self.nonlinear:
-            out[item.desc.label] = out.get(item.desc.label, 0) + 1
+        ko = self.setup.keepouts
+        out = Counter(self.static_labels)
+        if self.nonlinear:
+            out.update(lbl for lbl, ell in zip(ko.labels, ko.ellipse)
+                       if self.nonlinear.centers is not None or not ell)
         if self.a_eq is not None and len(self.a_eq):
             out["coupling"] = 1
         return out
@@ -358,15 +403,10 @@ def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = No
     x0 = np.asarray(x0, dtype=float)
     n = setup.n_y
     Hz, gz = setup.cost_z, setup.grad_z
-    pred = None
+    ko = setup.keepouts
+    centers = None
     if obstacle is not None:
-        pred = sc.predict_obstacle(obstacle, setup.cfg.n_total, setup.cfg.dt)
-    nonlinear = []
-    for d, S, s in zip(setup.keepouts, setup.keepout_S, setup.keepout_x @ x0):
-        if not isinstance(d, sc.EllipseKeepout):
-            nonlinear.append(_NlItem(d, S, s))
-        elif pred is not None:
-            nonlinear.append(_NlItem(d, S, s, pred[d.k]))
+        centers = sc.predict_obstacle(obstacle, setup.cfg.n_total, setup.cfg.dt)[ko.stage]
     return OcpProblem(
         method=setup.method, cfg=setup.cfg, setup=setup, x0=x0, n_y=n,
         n_beta=setup.model.n_states, n_nu=setup.n_nu, H=setup.H,
@@ -374,88 +414,62 @@ def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = No
         c0=float(0.5 * x0 @ Hz[n:, n:] @ x0 + gz[n:] @ x0 + setup.cost_const),
         a_eq=setup.a_eq, b_eq=None if setup.eq_x is None else -(setup.eq_x @ x0),
         a_static=setup.a_static, b_static=setup.static_ub - setup.static_x @ x0,
-        static_labels=setup.static_labels, nonlinear=nonlinear)
+        static_labels=setup.static_labels, nonlinear=KeepoutTerms(ko.x @ x0, centers))
 
 
 # ---------------------------------------------------------------------------
 # nonlinear constraint evaluation
 
 
-def _ellipse_value_grad(desc, center, pt):
-    dx = (pt[0] - center[0]) / desc.a
-    dy = (pt[1] - center[1]) / desc.b
-    g = dx * dx + dy * dy - 1.0
-    grad = np.array([2.0 * dx / desc.a, 2.0 * dy / desc.b])
-    return g, grad
-
-
-def _margin(desc, grad) -> float:
-    """Chance margin gamma of a keep-out ellipse (0 for a robust one)."""
-    return 0.0 if desc.p is None else chance.gamma(grad, np.asarray(desc.sigma), desc.p)
-
-
-def _inner_lin_point(desc, center, pt):
-    """Linearization point for a position inside the keep-out ellipse, None
-    for one outside it (which is its own linearization point).
-
-    Points inside the ellipse give a vanishing or inward gradient, so they are
-    projected radially onto the nearest boundary point; an exactly central
-    point falls back to the rear face, which is the side the robot approaches
-    from.
-    """
-    r = np.array([(pt[0] - center[0]) / desc.a,
-                  (pt[1] - center[1]) / desc.b])
-    rho = float(np.hypot(r[0], r[1]))
-    if rho >= 1.0:
-        return None
-    if rho < 1e-9:
-        r, rho = np.array([-1.0, 0.0]), 1.0
-    r /= rho
-    return np.array([center[0] + desc.a * r[0],
-                     center[1] + desc.b * r[1]])
-
-
-def _edge_active(desc, pt) -> bool:
-    return desc.x_range[0] - _EDGE_BUFFER <= pt[0] <= desc.x_range[1] + _EDGE_BUFFER
-
-
 def nonlinear_violation(prob: OcpProblem, y):
     """Worst true constraint violation at y (0 when feasible) and the
     keep-outs linearized at y: returns (worst, a_nl, b_nl), rows a_nl y' <= b_nl.
 
-    One pass serves both outputs: a position outside its ellipse is its own
-    linearization point, so its value, gradient and chance margin are
-    computed once; one inside is linearized again at its boundary projection.
+    All keep-outs are evaluated at once; rows follow item order, without box
+    edges outside their widened x-range or ellipses without an obstacle. A
+    position inside its ellipse (whose gradient vanishes or points inward) is
+    linearized at its radial projection onto the boundary, an exactly central
+    one at the rear face, the side the robot approaches from.
     """
     worst = 0.0
     if len(prob.b_static):
         worst = max(worst, float(np.max(prob.a_static @ y - prob.b_static)))
     if prob.a_eq is not None and len(prob.a_eq):
         worst = max(worst, float(np.max(np.abs(prob.a_eq @ y - prob.b_eq))))
-    rows, ubs = [], []
-    for item in prob.nonlinear:
-        pt = item.S @ y + item.s
-        d = item.desc
-        if isinstance(d, sc.EllipseKeepout):
-            g, grad = _ellipse_value_grad(d, item.center, pt)
-            gam = _margin(d, grad)
-            worst = max(worst, gam - g)
-            p_lin = _inner_lin_point(d, item.center, pt)
-            if p_lin is None:
-                p_lin = pt
-            else:
-                g, grad = _ellipse_value_grad(d, item.center, p_lin)
-                gam = _margin(d, grad)
-            rows.append(-(grad @ item.S))
-            # g(p) + grad.(xi - p) >= gamma, with xi affine in y
-            ubs.append(g - gam - float(grad @ p_lin) + float(grad @ item.s))
-        elif _edge_active(d, pt):
-            worst = max(worst, float(pt[1] - d.y_max))
-            rows.append(item.S[1])
-            ubs.append(d.y_max - item.s[1])
-    if rows:
-        return worst, np.array(rows), np.array(ubs)
-    return worst, np.zeros((0, prob.n_y)), np.zeros(0)
+    if not prob.nonlinear:
+        return worst, np.zeros((0, prob.n_y)), np.zeros(0)
+    ko = prob.setup.keepouts
+    offsets, centers = prob.nonlinear
+    m = len(offsets)
+    pos = (ko.S.reshape(2 * m, -1) @ y).reshape(m, 2) + offsets
+    # each row is -grad.S with grad the position gradient of the item's value
+    grad, ub = np.zeros((m, 2)), np.zeros(m)
+    keep = ko.ellipse & (centers is not None)
+    # box edges: p_y <= y_max, as the value y_max - p_y >= 0
+    e = ~ko.ellipse
+    px = pos[e, 0]
+    active = (ko.x_range[:, 0] - _EDGE_BUFFER <= px) & (px <= ko.x_range[:, 1] + _EDGE_BUFFER)
+    worst = float(np.max(pos[e, 1] - ko.y_max, where=active, initial=worst))
+    grad[e, 1] = -1.0
+    ub[e] = ko.y_max - offsets[e, 1]
+    keep[e] = active
+    if centers is not None:
+        # value g = |r|^2 - 1 with r = (p - c) / axes the position in
+        # semi-axis units; the chance constraint is g >= gamma
+        i = ko.ellipse
+        r = (pos[i] - centers) / ko.axes
+        rho = np.hypot(r[:, 0], r[:, 1])
+        r_lin = r / np.clip(rho, 1e-9, 1.0)[:, None]   # projected from inside
+        r_lin[rho < 1e-9] = -1.0, 0.0
+        rr = np.stack([r, r_lin])                       # at p and at p_lin
+        g = np.einsum("kij,kij->ki", rr, rr) - 1.0
+        grads = 2.0 * rr / ko.axes
+        gam = chance.gamma(grads, ko.sigma, ko.risk)
+        worst = float(np.max(gam[0] - g[0], initial=worst))
+        # g(p_lin) + grad.(xi - p_lin) >= gamma with grad.(p_lin - c) = 2 |r_lin|^2
+        grad[i] = grads[1]
+        ub[i] = np.einsum("ij,ij->i", grads[1], offsets[i] - centers) - g[1] - 2.0 - gam[1]
+    return worst, -np.einsum("ij,ijk->ik", grad, ko.S)[keep], ub[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -484,34 +498,29 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     n_stage = cfg.n_total + 1
     p_ref = np.array([p0 + v_line * cfg.dt * k for k in range(n_stage)])
     # lift reference points that fall inside a keep-out ellipse of their stage
-    by_stage: dict = {}
-    for item in prob.nonlinear:
-        if isinstance(item.desc, sc.EllipseKeepout):
-            by_stage.setdefault(item.desc.k, []).append(item)
-    for k in range(n_stage):
-        for item in by_stage.get(k, []):
-            d, c = item.desc, item.center
-            if d.p is None:
-                cap = c[0] - 1.1 * d.a
-                if p0[0] < cap:
-                    p_ref[k, 0] = min(p_ref[k, 0], cap)
-                continue
-            dx = (p_ref[k, 0] - c[0]) / d.a
-            dy = (p_ref[k, 1] - c[1]) / d.b
-            if dx * dx + dy * dy < 1.15:
-                lift = c[1] + 1.1 * d.b * np.sqrt(max(1.15 - dx * dx, 0.0))
-                p_ref[k, 1] = min(max(p_ref[k, 1], lift), cfg.lane_high - 0.2)
+    # (each ellipse moves only its own stage's point, so item order suffices)
+    ko = prob.setup.keepouts
+    centers = prob.nonlinear.centers if prob.nonlinear else None
+    for k, (a, b), c, robust in zip(ko.stage, ko.axes, () if centers is None else centers,
+                                    ko.robust):
+        if robust:
+            cap = c[0] - 1.1 * a
+            if p0[0] < cap:
+                p_ref[k, 0] = min(p_ref[k, 0], cap)
+            continue
+        dx = (p_ref[k, 0] - c[0]) / a
+        dy = (p_ref[k, 1] - c[1]) / b
+        if dx * dx + dy * dy < 1.15:
+            lift = c[1] + 1.1 * b * np.sqrt(max(1.15 - dx * dx, 0.0))
+            p_ref[k, 1] = min(max(p_ref[k, 1], lift), cfg.lane_high - 0.2)
     v_ref = np.diff(p_ref, axis=0) / cfg.dt
     v_ref = np.clip(v_ref, -cfg.vel_limit, cfg.vel_limit)
     v_ref = np.vstack([v_ref, v_ref[-1]])
     K, Kc = prob.setup.gains.K, prob.setup.gains.Kc
     for k in range(prob.n_nu):
-        kk = min(k, n_stage - 1)
-        x_ref = np.array([p_ref[kk, 0], v_ref[kk, 0], p_ref[kk, 1], v_ref[kk, 1]])
-        y[prob.nu_slice(k)] = -K @ x_ref
-    for j in range(prob.setup.n_c):
-        kk = min(cfg.ns + j, n_stage - 1)
-        y[prob.c_slice(j)] = v_ref[kk] - Kc @ p_ref[kk]
+        y[prob.nu_slice(k)] = -K @ np.array([p_ref[k, 0], v_ref[k, 0], p_ref[k, 1], v_ref[k, 1]])
+    for j, k in enumerate(range(cfg.ns, cfg.ns + prob.setup.n_c)):
+        y[prob.c_slice(j)] = v_ref[k] - Kc @ p_ref[k]
     return y
 
 
@@ -541,19 +550,16 @@ def shift_warm_start(prob: OcpProblem, prev) -> np.ndarray:
     prev_y = np.asarray(prev, dtype=float)
     if prev_y.shape != (prob.n_y,):
         raise OcpError("warm-start vector has wrong length")
+    # y = (beta, nu_0..nu_{n_nu-1}, c_0..c_{n_c-1}): each input block moves
+    # up one stage and repeats its last input
     y = prev_y.copy()
     if xbar1 is not None:
         y[:prob.n_beta] = prob.x0 - xbar1
-    # shift only the real input slots; granular keeps an extra unused
-    # junction-offset slot at the end of the nu block
-    n_real = prob.setup.kd
-    for k in range(n_real - 1):
-        y[prob.nu_slice(k)] = prev_y[prob.nu_slice(k + 1)]
-    if stitch_nu is not None:
-        y[prob.nu_slice(n_real - 1)] = stitch_nu
-    n_c = prob.setup.n_c
-    for j in range(n_c - 1):
-        y[prob.c_slice(j)] = prev_y[prob.c_slice(j + 1)]
+    c0 = prob.c_slice(0).start
+    y[prob.n_beta:c0 - 2] = prev_y[prob.n_beta + 2:c0]
+    y[c0:-2] = prev_y[c0 + 2:]
+    if stitch_nu is not None and prob.n_nu:
+        y[prob.nu_slice(prob.n_nu - 1)] = stitch_nu
     return y
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -33,6 +33,8 @@ class StepEntry:
     sqp_iterations: int
     solve_ms: float
     softened: bool
+    qp_iterations: int = 0
+    violation: float = 0.0       # worst violation of the executed plan's rows
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -45,6 +47,8 @@ class StepEntry:
             "status": self.status,
             "sqp_iterations": int(self.sqp_iterations),
             "softened": bool(self.softened),
+            "qp_iterations": int(self.qp_iterations),
+            "violation": float(self.violation),
         }
         if include_timing:
             out["solve_ms"] = float(self.solve_ms)
@@ -146,7 +150,8 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
         if sol.status == "infeasible":
             entries.append(StepEntry(k, x.copy(), np.zeros(2), np.zeros(4),
                                      obstacle.position.copy(), 0.0, sol.status,
-                                     sol.iterations, sol.solve_time_ms, sol.softened))
+                                     sol.iterations, sol.solve_time_ms, sol.softened,
+                                     sol.qp_iterations, sol.violation))
             terminal_status = "infeasible"
             break
         prev_sol = sol
@@ -156,7 +161,8 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
         stage_cost = float(err @ Q @ err + u @ R @ u)
         entries.append(StepEntry(k, x.copy(), u, d, obstacle.position.copy(),
                                  stage_cost, sol.status, sol.iterations,
-                                 sol.solve_time_ms, sol.softened))
+                                 sol.solve_time_ms, sol.softened,
+                                 sol.qp_iterations, sol.violation))
         x = model_step(setup.model, x, u, d)
         obs_noise = obs_rng.uniform(-obstacle.disturbance_bound,
                                     obstacle.disturbance_bound, size=2)
@@ -198,19 +204,7 @@ class MonteCarloSummary:
     softened_steps_total: int
 
     def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n_runs": self.n_runs,
-            "pass_rate": self.pass_rate,
-            "collision_rate": self.collision_rate,
-            "reach_rate": self.reach_rate,
-            "mean_cumulative_cost": self.mean_cumulative_cost,
-            "mean_solve_ms": self.mean_solve_ms,
-            "median_solve_ms": self.median_solve_ms,
-            "mean_cost_curve": self.mean_cost_curve,
-            "mean_solve_curve": self.mean_solve_curve,
-            "softened_steps_total": self.softened_steps_total,
-        }
+        return asdict(self)
 
 
 def _padded_curves(records: List[RunRecord]):

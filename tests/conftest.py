@@ -4,7 +4,13 @@ Building the tube takes about a second, so anything derived from the
 default config is session scoped and shared read-only across tests.
 """
 
-import pytest
+import os
+
+# one BLAS thread, as the CLI uses, before anything imports numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import pytest  # noqa: E402
 
 import granmpc.scenario as sc
 from granmpc import ocp

@@ -4,10 +4,12 @@ ocp.nonlinear_violation evaluates and linearizes them."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings, strategies as st
 
 import granmpc.scenario as sc
 from granmpc import ocp
@@ -127,15 +129,26 @@ def _fd_gradient(fun, x, h=1e-6):
 
 
 def _keepout(cfg, setup, label, k):
-    """The assembled problem reduced to the one keep-out item `label` at
-    stage k: static rows and the coupling are cleared, so the violation
-    nonlinear_violation reports is that item's alone."""
+    """The granular problem reduced to the one chance keep-out item `label`
+    at stage k >= Ns: static rows and the coupling are cleared, so the
+    violation nonlinear_violation reports is that item's alone."""
+    desc = next(d for d in sc.build_smpc_constraints(cfg, k, setup.coarse_sched[k - cfg.ns],
+                                                     "coarse", with_input=k < cfg.n_total)
+                if d.label == label)
+    ko = setup.keepouts
+    j = [i for i, lbl in enumerate(ko.labels) if lbl == label][k - cfg.ns]
+    if ko.ellipse[j]:
+        assert ko.stage[np.count_nonzero(ko.ellipse[:j])] == k
+    one = ocp.Keepouts.stack([desc], np.concatenate([ko.S[j:j + 1], ko.x[j:j + 1]], axis=2),
+                             setup.n_y)
     start = np.array([cfg.start[0], 0.0, cfg.start[1], 0.0])
-    prob = ocp.assemble(setup, start, sc.DynamicObstacle.from_config(cfg))
-    item = next(i for i in prob.nonlinear if i.desc.label == label and i.desc.k == k)
-    prob = dataclasses.replace(prob, nonlinear=[item], a_static=np.zeros((0, prob.n_y)),
+    prob = ocp.assemble(dataclasses.replace(setup, keepouts=one), start,
+                        sc.DynamicObstacle.from_config(cfg))
+    prob = dataclasses.replace(prob, a_static=np.zeros((0, prob.n_y)),
                                b_static=np.zeros(0), a_eq=None, b_eq=None)
-    return prob, item
+    offsets, centers = prob.nonlinear
+    return prob, SimpleNamespace(desc=desc, S=ko.S[j], s=offsets[0],
+                                 center=centers[0] if len(centers) else None)
 
 
 def _y_at(item, pos):
@@ -214,3 +227,117 @@ def test_covariance_schedule_indexing():
     assert np.allclose(sched[1], 2 * np.eye(2))
     d = sched.to_json()
     assert len(d["sigmas"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the batched keep-out evaluator against a per-item reference
+
+EDGE_BUFFER = 0.25     # the box edges' specified x-range widening
+
+
+def _reference_keepouts(descs, S, s, centers, y):
+    """(worst, rows, bounds) of the keep-outs, one item at a time: an ellipse
+    is linearized at the position or, from inside, at its radial projection
+    onto the boundary (the rear face from the exact centre); a box edge
+    applies while p_x lies within its x-range widened by EDGE_BUFFER."""
+    worst, rows, ubs = 0.0, [], []
+    centers = iter(() if centers is None else centers)
+    for d, Si, si in zip(descs, S, s):
+        pt = Si @ y + si
+        if isinstance(d, sc.EdgeKeepout):
+            if d.x_range[0] - EDGE_BUFFER <= pt[0] <= d.x_range[1] + EDGE_BUFFER:
+                worst = max(worst, float(pt[1] - d.y_max))
+                rows.append(Si[1])
+                ubs.append(d.y_max - si[1])
+            continue
+        c = next(centers, None)
+        if c is None:
+            continue
+
+        def value_grad_margin(p):
+            dx, dy = (p[0] - c[0]) / d.a, (p[1] - c[1]) / d.b
+            grad = np.array([2.0 * dx / d.a, 2.0 * dy / d.b])
+            gam = 0.0 if d.p is None else gamma(grad, np.asarray(d.sigma), d.p)
+            return dx * dx + dy * dy - 1.0, grad, gam
+
+        g, grad, gam = value_grad_margin(pt)
+        worst = max(worst, gam - g)
+        p_lin = pt
+        r = np.array([(pt[0] - c[0]) / d.a, (pt[1] - c[1]) / d.b])
+        rho = float(np.hypot(r[0], r[1]))
+        if rho < 1.0:
+            if rho < 1e-9:
+                r, rho = np.array([-1.0, 0.0]), 1.0
+            p_lin = c + np.array([d.a, d.b]) * r / rho
+            g, grad, gam = value_grad_margin(p_lin)
+        rows.append(-(grad @ Si))
+        ubs.append(g - gam - grad @ p_lin + grad @ si)
+    return worst, np.array(rows).reshape(-1, len(y)), np.array(ubs)
+
+
+_unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def _keepout_cases(draw):
+    """Ellipses (robust and chance) and box edges with S y + s placed inside,
+    on, outside or at the centre of each ellipse, and on, just beyond or away
+    from each edge's widened x-range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n_y = draw(st.integers(1, 6))
+    y = rng.normal(size=n_y)
+    risk = draw(st.floats(0.5, 0.99))
+    descs, S, pos, centers = [], [], [], []
+    for k in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["robust", "chance", "edge"]))
+        Si = rng.normal(size=(2, n_y))
+        if kind == "edge":
+            lo = draw(st.floats(-5.0, 5.0))
+            hi = lo + draw(st.floats(0.0, 4.0))
+            px = draw(st.sampled_from([lo - EDGE_BUFFER, hi + EDGE_BUFFER,
+                                       lo - EDGE_BUFFER - 1e-6, hi + EDGE_BUFFER + 1e-6,
+                                       0.5 * (lo + hi), lo - 3.0]))
+            Si[0] = 0.0           # keeps p_x exactly at the drawn value
+            descs.append(sc.EdgeKeepout(k, "state_pos", (lo, hi), draw(st.floats(-2.0, 2.0)),
+                                        "box_edge"))
+            p = np.array([px, draw(st.floats(-4.0, 4.0))])
+        else:
+            a, b = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
+            c = rng.normal(scale=3.0, size=2)
+            rho = draw(st.sampled_from([0.0, 1.0, "inside", "outside"]))
+            rho = {"inside": 0.05 + 0.9 * draw(_unit),
+                   "outside": 1.05 + 2.0 * draw(_unit)}.get(rho, rho)
+            theta = 2.0 * np.pi * draw(_unit)
+            L = 0.3 * rng.normal(size=(2, 2))
+            sigma = None if kind == "robust" else tuple(map(tuple, L @ L.T))
+            descs.append(sc.EllipseKeepout(k, "state_pos", a, b,
+                                           None if kind == "robust" else risk, sigma,
+                                           f"{kind}_ellipse"))
+            centers.append(c)
+            p = c + rho * np.array([a * np.cos(theta), b * np.sin(theta)])
+        S.append(Si)
+        pos.append(p)
+    S = np.array(S)
+    s = np.array(pos) - S @ y
+    centers = np.array(centers).reshape(-1, 2) if draw(st.booleans()) else None
+    return descs, S, s, centers, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_keepout_cases())
+def test_batched_keepouts_match_per_item_reference(setup_granular, case):
+    descs, S, s, centers, y = case
+    n_y = len(y)
+    maps = np.concatenate([S, np.zeros((len(S), 2, 4))], axis=2)
+    setup = dataclasses.replace(setup_granular, n_y=n_y,
+                                keepouts=ocp.Keepouts.stack(descs, maps, n_y))
+    base = ocp.assemble(setup_granular, np.zeros(4))
+    prob = dataclasses.replace(base, setup=setup, n_y=n_y,
+                               a_static=np.zeros((0, n_y)), b_static=np.zeros(0),
+                               a_eq=None, b_eq=None, nonlinear=ocp.KeepoutTerms(s, centers))
+    worst, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
+    ref_worst, ref_a, ref_b = _reference_keepouts(descs, S, s, centers, y)
+    assert a_nl.shape == ref_a.shape and b_nl.shape == ref_b.shape
+    assert np.allclose(a_nl, ref_a, rtol=1e-12, atol=1e-12)
+    assert np.allclose(b_nl, ref_b, rtol=1e-12, atol=1e-12)
+    assert worst == pytest.approx(ref_worst, rel=1e-12, abs=1e-12)

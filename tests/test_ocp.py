@@ -26,7 +26,7 @@ def test_unknown_method_rejected(cfg):
 
 def test_decision_vector_layout(cfg, setup_granular, setup_rsmpc):
     pg = ocp.assemble(setup_granular, _start_state(cfg))
-    assert pg.n_y == 4 + 2 * (cfg.ns + 1) + 2 * cfg.nl
+    assert pg.n_y == 4 + 2 * cfg.ns + 2 * cfg.nl
     xbar, ubar, zeta, vbar = pg.trajectories(np.zeros(pg.n_y))
     assert xbar.shape == (cfg.ns + 1, 4) and ubar.shape == (cfg.ns, 2)
     assert zeta.shape == (cfg.nl + 1, 2) and vbar.shape == (cfg.nl, 2)
@@ -39,6 +39,20 @@ def test_decision_vector_layout(cfg, setup_granular, setup_rsmpc):
 
 _SETUP_FIXTURE = {"granular": "setup_granular", "single-rsmpc": "setup_rsmpc",
                   "single-rmpc": "setup_rmpc"}
+
+
+@pytest.mark.parametrize("method", ocp.METHODS)
+def test_every_decision_variable_is_used(method, request):
+    # each column of y enters the cost or some row; a variable in neither
+    # would be held convex only by H's ridge
+    setup = request.getfixturevalue(_SETUP_FIXTURE[method])
+    n = setup.n_y
+    used = np.any(setup.cost_z[:n, :n] != 0.0, axis=0)
+    used |= np.any(setup.a_static != 0.0, axis=0)
+    used |= np.any(setup.keepouts.S.reshape(-1, n) != 0.0, axis=0)
+    if setup.a_eq is not None:
+        used |= np.any(setup.a_eq != 0.0, axis=0)
+    assert used.all(), np.flatnonzero(~used).tolist()
 
 
 def _stage_cost(cfg, xbar, ubar, zeta, vbar):
@@ -68,7 +82,7 @@ def test_problem_built_once_serves_every_state(cfg, method, request):
     obs = _obstacle(cfg)
     x_a, x_b = _start_state(cfg), np.array([4.0, 1.2, 0.8, -0.3])
     first = ocp.assemble(setup, x_a, obs)
-    kept = (first.f.copy(), first.b_static.copy(), [i.s.copy() for i in first.nonlinear])
+    kept = (first.f.copy(), first.b_static.copy(), first.nonlinear.offsets.copy())
     second = ocp.assemble(setup, x_b, obs)
     A, B = setup.model.A, setup.model.B
     rng = np.random.default_rng(11)
@@ -100,19 +114,20 @@ def test_problem_built_once_serves_every_state(cfg, method, request):
     if first.a_eq is not None:
         assert np.allclose(first.a_eq @ y - first.b_eq, second.a_eq @ y_b - second.b_eq,
                            atol=1e-9)
-    assert all(np.allclose(i.S @ y + i.s, j.S @ y_b + j.s, atol=1e-9)
-               for i, j in zip(first.nonlinear, second.nonlinear))
+    S = setup.keepouts.S
+    assert np.allclose(S @ y + first.nonlinear.offsets, S @ y_b + second.nonlinear.offsets,
+                       atol=1e-9)
     assert first.objective(y) - 0.5e-8 * y @ y == pytest.approx(
         second.objective(y_b) - 0.5e-8 * y_b @ y_b, rel=1e-10)
     assert np.array_equal(first.f, kept[0]) and np.array_equal(first.b_static, kept[1])
-    assert all(np.array_equal(i.s, s) for i, s in zip(first.nonlinear, kept[2]))
-    assert [i.center.tolist() for i in first.nonlinear if i.center is not None] == \
-        [i.center.tolist() for i in second.nonlinear if i.center is not None]
+    assert np.array_equal(first.nonlinear.offsets, kept[2])
+    assert np.array_equal(first.nonlinear.centers, second.nonlinear.centers)
     # the shared setup data refuses in-place edits
-    shared = [getattr(setup, f.name) for f in dataclasses.fields(setup)]
+    shared = [getattr(obj, f.name) for obj in (setup, setup.keepouts)
+              for f in dataclasses.fields(obj)]
     shared = [a for a in shared if isinstance(a, np.ndarray)]
     assert len(shared) >= 12 and not any(a.flags.writeable for a in shared)
-    for arr in (first.H, first.a_static, first.nonlinear[0].S):
+    for arr in (first.H, first.a_static, setup.keepouts.S[0]):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
 
@@ -294,6 +309,18 @@ def test_degenerate_horizon_without_coarse_stage(cfg):
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
     assert "chance_ellipse" not in prob.census()
     assert ocp.solve_sqp(prob).status == "converged"
+
+
+def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
+    # with Ns = 0 there is no detailed input slot to stitch the coarse input
+    # into; the shift must leave the re-seeded initial error x0 - xbar_1 alone
+    flat = cfg.with_overrides({"horizons.ns": "0"})
+    setup = ocp.MethodSetup.build(flat, "granular")
+    assert setup.n_nu == 0
+    sol = ocp.solve_sqp(ocp.assemble(setup, _start_state(flat), _obstacle(flat)))
+    prob = ocp.assemble(setup, np.array([0.1, 0.2, 0.0, 0.0]), _obstacle(flat))
+    y = ocp.shift_warm_start(prob, sol)
+    assert np.array_equal(y[:prob.n_beta], prob.x0 - sol.xbar[0])
 
 
 def test_planned_positions_cover_full_horizon(cfg, setup_granular):

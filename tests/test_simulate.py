@@ -31,6 +31,8 @@ def test_different_seeds_differ(cfg, setup_granular, granular_run):
 
 def test_canonical_bytes_ignore_timing(granular_run):
     before = canonical_record_bytes(granular_run)
+    # the solver telemetry is no timing: it stays in the canonical record
+    assert b'"qp_iterations"' in before and b'"violation"' in before
     saved = granular_run.entries[0].solve_ms
     granular_run.entries[0].solve_ms = -1.0
     try:
@@ -130,6 +132,8 @@ def test_write_run_jsonl_roundtrip(tmp_path, granular_run):
     first = json.loads(lines[1])
     assert first["k"] == 0
     assert np.allclose(first["x"], granular_run.entries[0].x)
+    assert first["qp_iterations"] == granular_run.entries[0].qp_iterations > 0
+    assert first["violation"] == granular_run.entries[0].violation
 
 
 def test_write_summary_csv(tmp_path):
