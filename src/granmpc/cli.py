@@ -117,10 +117,10 @@ def _cmd_build_sets(args) -> int:
 
 def _cmd_batch(args) -> int:
     """run and montecarlo; run also writes each episode's JSONL."""
-    cfg = _load_config(args)
-    out = _prepare_out(args, cfg)
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
+    cfg = _load_config(args)
+    out = _prepare_out(args, cfg)
     setup = ocp.MethodSetup.build(cfg, args.method)
     records = []
     for seed in range(args.seed, args.seed + args.runs):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional
 
 import numpy as np
 
@@ -15,29 +15,15 @@ class ModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class GaussianNoise:
-    """Zero-mean Gaussian disturbance with covariance `cov`."""
-
-    cov: np.ndarray
-
-    def __post_init__(self):
-        c = _as_matrix(self.cov)
-        if not np.allclose(c, c.T, atol=1e-12):
-            raise ModelError("covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh((c + c.T) / 2.0)) < -1e-12:
-            raise ModelError("covariance must be positive semidefinite")
-        object.__setattr__(self, "cov", c)
-
-
-@dataclass(frozen=True)
 class LinearModel:
-    """x_{k+1} = A x_k + B u_k + G d_k with bounded or Gaussian disturbance."""
+    """x_{k+1} = A x_k + B u_k + G d_k with d_k in the bounded set
+    ``disturbance`` (None for a model without one)."""
 
     A: np.ndarray
     B: np.ndarray
     G: np.ndarray
     dt: float
-    disturbance: Union[Zonotope, GaussianNoise, None] = None
+    disturbance: Optional[Zonotope] = None
 
     def __post_init__(self):
         A, B, G = _as_matrix(self.A), _as_matrix(self.B), _as_matrix(self.G)
@@ -47,14 +33,11 @@ class LinearModel:
         if self.dt <= 0.0:
             raise ModelError("sampling time must be positive")
         d = self.disturbance
-        if isinstance(d, Zonotope):
+        if d is not None:
             if d.dim != G.shape[1]:
                 raise ModelError("disturbance set dimension mismatch")
             if not np.allclose(np.abs(d.center), 0.0) and not d.contains(np.zeros(d.dim)):
                 raise ModelError("bounded disturbance set must contain the origin")
-        elif isinstance(d, GaussianNoise):
-            if d.cov.shape[0] != G.shape[1]:
-                raise ModelError("disturbance covariance dimension mismatch")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "G", G)
@@ -141,10 +124,3 @@ def dlqr(A, B, Q, R, tol: float = 1e-10, max_iter: int = 200000):
         raise ModelError("Riccati iteration produced an unstable gain")
     return K, P
 
-
-def dare_residual(A, B, Q, R, P) -> float:
-    """Norm of the discrete algebraic Riccati equation residual at P."""
-    A, B, Q, R, P = map(_as_matrix, (A, B, Q, R, P))
-    BtP = B.T @ P
-    rhs = Q + A.T @ P @ A - A.T @ P @ B @ np.linalg.solve(R + BtP @ B, BtP @ A)
-    return float(np.linalg.norm(P - rhs))

@@ -27,7 +27,6 @@ wrong guess costs QP iterations, never the QP's result.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -82,7 +81,8 @@ def membership_rows(tube: TubeSpec, state_normals, K):
     polytope invariant under the error recursion up to that tolerance: after
     a closed-loop shift every row of the new error follows from the next
     power at the old one, and the last (untelescoped) row is bounded by its
-    vanishing norm. A shifted feasible plan therefore stays feasible. A
+    vanishing norm. So a shifted plan meets these rows again; that says
+    nothing of its other rows, which it does break (ROADMAP item 2). A
     direction still above _TAIL_TOL after _MAX_POWERS powers raises OcpError.
     """
     dirs = [np.asarray(a, dtype=float) for a in state_normals]
@@ -174,10 +174,8 @@ class MethodSetup:
     stacked keep-outs. All arrays are read-only.
     """
 
-    method: str
     cfg: sc.ScenarioConfig
     model: LinearModel
-    coarse: LinearModel
     gains: GainPair
     tube: TubeSpec
     tube_rows_a: np.ndarray
@@ -207,7 +205,6 @@ class MethodSetup:
         if method not in METHODS:
             raise OcpError(f"unknown method {method!r}")
         model = sc.detailed_model(cfg)
-        coarse = sc.coarse_model(cfg)
         gains = sc.gain_pair(cfg)
         tube = build_tube(model, gains.K, cfg.tube_eps, sc.state_set(cfg), sc.input_set(cfg))
         tube_a, tube_b = membership_rows(tube, sc.state_set(cfg).normals,
@@ -224,7 +221,7 @@ class MethodSetup:
                 detail_sched = chance.propagate_covariance(
                     gains.Phi, np.eye(4), (std * std) * np.eye(4),
                     np.zeros((4, 4)), cfg.nl)
-        return cls(method, cfg, model, coarse, gains, tube, _frozen(tube_a),
+        return cls(cfg, model, gains, tube, _frozen(tube_a),
                    _frozen(tube_b), coarse_sched, detail_sched,
                    **_condense(cfg, method, model, gains, tube, tube_a, tube_b,
                                coarse_sched, detail_sched))
@@ -338,7 +335,6 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
 class OcpProblem:
     """One step's problem: the setup's data plus the x0 and obstacle terms."""
 
-    method: str
     cfg: sc.ScenarioConfig
     setup: MethodSetup
     x0: np.ndarray
@@ -352,7 +348,6 @@ class OcpProblem:
     b_eq: Optional[np.ndarray]
     a_static: np.ndarray
     b_static: np.ndarray
-    static_labels: tuple
     nonlinear: KeepoutTerms      # an empty sequence means no keep-outs
 
     # -- slices --------------------------------------------------------------
@@ -368,9 +363,6 @@ class OcpProblem:
         y = np.asarray(y, dtype=float)
         return float(0.5 * y @ self.H @ y + self.f @ y + self.c0)
 
-    def gradient(self, y) -> np.ndarray:
-        return self.H @ np.asarray(y, dtype=float) + self.f
-
     def trajectories(self, y):
         """(xbar, ubar, zeta, vbar); zeta and vbar are None without a coarse stage."""
         st = self.setup
@@ -385,16 +377,6 @@ class OcpProblem:
         """Planned positions over the full horizon (detailed then coarse)."""
         return (self.setup.pos_map @ np.concatenate([y, self.x0])).reshape(-1, 2)
 
-    def census(self) -> dict:
-        ko = self.setup.keepouts
-        out = Counter(self.static_labels)
-        if self.nonlinear:
-            out.update(lbl for lbl, ell in zip(ko.labels, ko.ellipse)
-                       if self.nonlinear.centers is not None or not ell)
-        if self.a_eq is not None and len(self.a_eq):
-            out["coupling"] = 1
-        return out
-
 
 def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = None) -> OcpProblem:
     """The problem at state x0: the setup's data with f, c0, b_static, b_eq
@@ -408,13 +390,13 @@ def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = No
     if obstacle is not None:
         centers = sc.predict_obstacle(obstacle, setup.cfg.n_total, setup.cfg.dt)[ko.stage]
     return OcpProblem(
-        method=setup.method, cfg=setup.cfg, setup=setup, x0=x0, n_y=n,
+        cfg=setup.cfg, setup=setup, x0=x0, n_y=n,
         n_beta=setup.model.n_states, n_nu=setup.n_nu, H=setup.H,
         f=Hz[:n, n:] @ x0 + gz[:n],
         c0=float(0.5 * x0 @ Hz[n:, n:] @ x0 + gz[n:] @ x0 + setup.cost_const),
         a_eq=setup.a_eq, b_eq=None if setup.eq_x is None else -(setup.eq_x @ x0),
         a_static=setup.a_static, b_static=setup.static_ub - setup.static_x @ x0,
-        static_labels=setup.static_labels, nonlinear=KeepoutTerms(ko.x @ x0, centers))
+        nonlinear=KeepoutTerms(ko.x @ x0, centers))
 
 
 # ---------------------------------------------------------------------------
@@ -524,42 +506,30 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     return y
 
 
-def shift_warm_start(prob: OcpProblem, prev) -> np.ndarray:
+def shift_warm_start(prob: OcpProblem, prev: "OcpSolution") -> np.ndarray:
     """Time-shift the previous solution by one step.
 
-    Accepts either a raw decision vector or an OcpSolution. With a solution
-    the initial-error slots are re-seeded to x0 - xbar_1 of the previous
-    plan, so the shifted warm start reproduces the previous nominal
-    trajectory exactly and stays feasible whenever the realized error
-    remains inside the membership polytope.
+    The initial-error slots are re-seeded to x0 - xbar_1 of the previous plan,
+    so the shifted plan reproduces the previous nominal trajectory from its
+    stage 1 on, and each input block moves up one stage and repeats its last
+    input. The result is a start, not a feasible point: it meets the
+    membership rows again (see ``membership_rows``), but the stitched coarse
+    stage, the stage that moves from chance to robust rows and the moved
+    obstacle prediction break other rows (ROADMAP item 2).
     """
-    xbar1 = None
-    stitch_nu = None
-    if isinstance(prev, OcpSolution):
-        xbar1 = prev.xbar[1] if len(prev.xbar) > 1 else prev.xbar[0]
-        if prev.vbar is not None and len(prev.vbar):
-            # the shift promotes the first coarse stage to the last detailed
-            # one; emulate its velocity input with the acceleration that
-            # reproduces the same position update over one sample
-            x_end = prev.xbar[-1]
-            v_end = x_end[[1, 3]]
-            acc = 2.0 * (prev.vbar[0] - v_end) / prob.cfg.dt
-            K = prob.setup.gains.K
-            stitch_nu = acc - K @ x_end
-        prev = prev.y
-    prev_y = np.asarray(prev, dtype=float)
-    if prev_y.shape != (prob.n_y,):
-        raise OcpError("warm-start vector has wrong length")
-    # y = (beta, nu_0..nu_{n_nu-1}, c_0..c_{n_c-1}): each input block moves
-    # up one stage and repeats its last input
-    y = prev_y.copy()
-    if xbar1 is not None:
-        y[:prob.n_beta] = prob.x0 - xbar1
+    # y = (beta, nu_0..nu_{n_nu-1}, c_0..c_{n_c-1})
+    y = prev.y.copy()
+    y[:prob.n_beta] = prob.x0 - (prev.xbar[1] if len(prev.xbar) > 1 else prev.xbar[0])
     c0 = prob.c_slice(0).start
-    y[prob.n_beta:c0 - 2] = prev_y[prob.n_beta + 2:c0]
-    y[c0:-2] = prev_y[c0 + 2:]
-    if stitch_nu is not None and prob.n_nu:
-        y[prob.nu_slice(prob.n_nu - 1)] = stitch_nu
+    y[prob.n_beta:c0 - 2] = prev.y[prob.n_beta + 2:c0]
+    y[c0:-2] = prev.y[c0 + 2:]
+    if prev.vbar is not None and prob.n_nu:
+        # the shift promotes the first coarse stage to the last detailed
+        # one; emulate its velocity input with the acceleration that
+        # reproduces the same position update over one sample
+        x_end = prev.xbar[-1]
+        acc = 2.0 * (prev.vbar[0] - x_end[[1, 3]]) / prob.cfg.dt
+        y[prob.nu_slice(prob.n_nu - 1)] = acc - prob.setup.gains.K @ x_end
     return y
 
 
@@ -573,19 +543,14 @@ class OcpSolution:
     # converged | max-iter (feasible, stopped at max_iter still moving) |
     # violating (executed plan violates by more than violation_tol) | infeasible
     status: str
-    objective: float
     iterations: int
     qp_iterations: int
     softened: bool
     solve_time_ms: float
-    beta: np.ndarray
     nus: np.ndarray             # (n_nu, 2)
-    cs: Optional[np.ndarray]    # (Nl, 2) or None
     xbar: np.ndarray            # (Kd+1, 4)
     ubar: np.ndarray
-    zeta: Optional[np.ndarray]  # (Nl+1, 2) or None
-    vbar: Optional[np.ndarray]
-    positions: np.ndarray       # (N+1, 2) planned positions
+    vbar: Optional[np.ndarray]  # (Nl, 2) or None
     violation: float
     active_set: list = field(default_factory=list)  # last QP's, warm-starts the next
 
@@ -610,7 +575,8 @@ def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
 
 
 def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
-              warm_start=None, trace: Optional[list] = None) -> OcpSolution:
+              warm_start: Optional[OcpSolution] = None,
+              trace: Optional[list] = None) -> OcpSolution:
     """SQP over the keep-out linearizations from the warm or the cold start.
 
     ``nonlinear_violation`` scores each point once: the start, each
@@ -622,12 +588,11 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     if settings is None:
         settings = SqpSettings.from_config(prob.cfg)
     t_start = time.perf_counter()
-    if warm_start is not None:
-        y = shift_warm_start(prob, warm_start)
-    else:
-        y = cold_start(prob)
     # QP working set carried from each QP to the next (see the module docstring)
-    active = warm_start.active_set if isinstance(warm_start, OcpSolution) else []
+    if warm_start is not None:
+        y, active = shift_warm_start(prob, warm_start), warm_start.active_set
+    else:
+        y, active = cold_start(prob), []
     softened = False
     qp_total = 0
     it = 0
@@ -712,8 +677,8 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
                 break
     # execute the best iterate of the solve, not necessarily the last one:
     # feasible with lowest objective when any iterate was feasible, otherwise
-    # lowest true violation (typically the shifted previous plan, the usual
-    # recursive-feasibility fallback)
+    # lowest true violation. The start (the shifted previous plan) competes
+    # like any iterate; it is no feasible fallback (ROADMAP item 2)
     if best_v > settings.violation_tol:
         status = "violating"
     elif it < settings.max_iter or float(np.max(np.abs(step))) * t < settings.step_tol:
@@ -726,16 +691,12 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
 
 def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
                    t_start, active, violation) -> OcpSolution:
-    xbar, ubar, zeta, vbar = prob.trajectories(y)
+    xbar, ubar, _, vbar = prob.trajectories(y)
     nus = np.array([y[prob.nu_slice(k)] for k in range(prob.n_nu)])
-    n_c = prob.setup.n_c
-    cs = np.array([y[prob.c_slice(j)] for j in range(n_c)]) if n_c else None
     return OcpSolution(
-        y=y.copy(), status=status, objective=prob.objective(y),
-        iterations=iterations, qp_iterations=qp_total, softened=softened,
+        y=y.copy(), status=status, iterations=iterations, qp_iterations=qp_total, softened=softened,
         solve_time_ms=1e3 * (time.perf_counter() - t_start),
-        beta=y[:prob.n_beta].copy(), nus=nus, cs=cs, xbar=xbar, ubar=ubar,
-        zeta=zeta, vbar=vbar, positions=prob.positions(y),
+        nus=nus, xbar=xbar, ubar=ubar, vbar=vbar,
         violation=violation, active_set=list(active))
 
 

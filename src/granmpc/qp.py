@@ -40,10 +40,6 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 
-class QpError(RuntimeError):
-    pass
-
-
 @dataclass
 class QpSolution:
     x: np.ndarray
@@ -239,23 +235,3 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
             m_act -= 1
             del act_idx[blk], act_u[blk]
 
-
-def kkt_residuals(H, f, sol: QpSolution, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None):
-    """(stationarity, primal feasibility, complementary slackness) residuals."""
-    H = np.asarray(H, dtype=float)
-    f = np.asarray(f, dtype=float)
-    x = sol.x
-    g = H @ x + f
-    feas = 0.0
-    comp = 0.0
-    if A_ineq is not None and len(b_ineq):
-        A_in = np.asarray(A_ineq, dtype=float)
-        s = A_in @ x - np.asarray(b_ineq, dtype=float)
-        feas = max(feas, float(np.max(s, initial=0.0)))
-        g = g + A_in.T @ sol.duals_ineq
-        comp = float(np.max(np.abs(sol.duals_ineq * s), initial=0.0))
-    if A_eq is not None and len(b_eq):
-        A_e = np.asarray(A_eq, dtype=float)
-        feas = max(feas, float(np.max(np.abs(A_e @ x - np.asarray(b_eq, dtype=float)), initial=0.0)))
-        g = g + A_e.T @ sol.duals_eq
-    return float(np.max(np.abs(g))), feas, comp

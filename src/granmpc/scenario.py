@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import chance
-from .models import GainPair, GaussianNoise, LinearModel
+from .models import GainPair, LinearModel
 from .sets import HPolytope, Zonotope
 
 
@@ -108,6 +108,13 @@ class ScenarioConfig:
             raise ConfigError(f"unknown terminal_cost {self.terminal_cost!r}")
         if self.dt <= 0 or self.max_steps < 1:
             raise ConfigError("dt must be positive and max_steps >= 1")
+        sigma_w = np.asarray(self.sigma_w_diag, dtype=float)
+        if sigma_w.shape != (2,) or np.any(sigma_w < 0) or self.detailed_sigma_std < 0:
+            raise ConfigError("stochastic.sigma_w_diag must be two nonnegative floats and "
+                              "stochastic.detailed_sigma_std nonnegative")
+        if self.sqp_max_iter < 1 or self.sqp_max_halvings < 0:
+            raise ConfigError("solver.sqp_max_iter must be >= 1 and "
+                              "solver.sqp_max_halvings >= 0")
 
     # -- horizon helpers ---------------------------------------------------
     @property
@@ -221,14 +228,10 @@ def detailed_model(cfg: ScenarioConfig) -> LinearModel:
 
 
 def coarse_model(cfg: ScenarioConfig) -> LinearModel:
+    """Single-integrator position model; its Gaussian noise enters only
+    through the covariance schedule (sigma_w_diag)."""
     dt = cfg.dt
-    return LinearModel(
-        A=np.eye(2),
-        B=dt * np.eye(2),
-        G=np.eye(2),
-        dt=dt,
-        disturbance=GaussianNoise(np.diag(cfg.sigma_w_diag)),
-    )
+    return LinearModel(A=np.eye(2), B=dt * np.eye(2), G=np.eye(2), dt=dt)
 
 
 def gain_pair(cfg: ScenarioConfig) -> GainPair:

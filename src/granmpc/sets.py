@@ -209,7 +209,7 @@ def _box_facet_data(d: Zonotope) -> np.ndarray:
     if np.any(d.center != 0.0):
         raise SetError("disturbance set must be centered at the origin")
     G = d.generators
-    w = np.sum(np.abs(G), axis=1)
+    w = d.interval_hull()
     if np.any(w <= 0.0):
         raise SetError("disturbance set must have full-dimensional axis extent")
     # Each generator must be axis-aligned for the facet directions to be +-e_i.

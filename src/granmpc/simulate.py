@@ -130,7 +130,7 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
     ss = np.random.SeedSequence(seed)
     plant_rng, obs_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
 
-    d_half = np.sum(np.abs(setup.model.disturbance.generators), axis=1)
+    d_half = setup.model.disturbance.interval_hull()
 
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
     x_t = np.array([cfg.target[0], 0.0, cfg.target[1], 0.0])
@@ -147,22 +147,22 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
         sol = ocp.solve_sqp(prob, settings, warm_start=prev_sol, trace=step_trace)
         if trace is not None:
             trace.append({"k": k, "sqp": step_trace})
-        if sol.status == "infeasible":
-            entries.append(StepEntry(k, x.copy(), np.zeros(2), np.zeros(4),
-                                     obstacle.position.copy(), 0.0, sol.status,
-                                     sol.iterations, sol.solve_time_ms, sol.softened,
-                                     sol.qp_iterations, sol.violation))
-            terminal_status = "infeasible"
-            break
-        prev_sol = sol
-        u = ocp.extract_control(sol, x, setup.gains.K)
-        d = _sample_disturbance(plant_rng, d_half, cfg.realized_disturbance)
-        err = x - x_t
-        stage_cost = float(err @ Q @ err + u @ R @ u)
+        infeasible = sol.status == "infeasible"
+        if infeasible:
+            u, d, stage_cost = np.zeros(2), np.zeros(4), 0.0
+        else:
+            u = ocp.extract_control(sol, x, setup.gains.K)
+            d = _sample_disturbance(plant_rng, d_half, cfg.realized_disturbance)
+            err = x - x_t
+            stage_cost = float(err @ Q @ err + u @ R @ u)
         entries.append(StepEntry(k, x.copy(), u, d, obstacle.position.copy(),
                                  stage_cost, sol.status, sol.iterations,
                                  sol.solve_time_ms, sol.softened,
                                  sol.qp_iterations, sol.violation))
+        if infeasible:
+            terminal_status = "infeasible"
+            break
+        prev_sol = sol
         x = model_step(setup.model, x, u, d)
         obs_noise = obs_rng.uniform(-obstacle.disturbance_bound,
                                     obstacle.disturbance_bound, size=2)

@@ -12,15 +12,22 @@ import yaml
 from granmpc.cli import main
 
 
-def test_usage_errors_exit_2(tmp_path):
-    out = str(tmp_path / "o")
-    assert main(["run", "--runs", "0", "--out", out]) == 2
-    assert main(["run", "--jobs", "0", "--out", out]) == 2
-    assert main(["compare", "--runs", "0", "--out", out]) == 2
-    assert main(["run", "--set", "bogus.key=1", "--out", out]) == 2
-    assert main(["run", "--set", "novalue", "--out", out]) == 2
-    assert main(["run", "--method", "nonsense", "--out", out]) == 2
+def test_usage_errors_exit_2(tmp_path, capsys):
+    # found before the output directory is made; past argparse, each is
+    # reported on one line
+    out = tmp_path / "o"
+    assert main(["run", "--jobs", "0", "--out", str(out)]) == 2
+    assert main(["run", "--method", "nonsense", "--out", str(out)]) == 2
     assert main(["no-such-command"]) == 2
+    for argv in (["run", "--runs", "0"], ["montecarlo", "--runs", "0"],
+                 ["compare", "--runs", "0"], ["run", "--set", "bogus.key=1"],
+                 ["run", "--set", "novalue"], ["run", "--set", "solver.sqp_max_iter=0"],
+                 ["run", "--set", "solver.sqp_max_halvings=-1"]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_missing_config_file_exit_1(tmp_path):

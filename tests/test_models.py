@@ -6,8 +6,7 @@ import pytest
 import scipy.linalg
 
 import granmpc.scenario as sc
-from granmpc.models import (GaussianNoise, LinearModel, ModelError,
-                            closed_loop, dare_residual, dlqr,
+from granmpc.models import (LinearModel, ModelError, closed_loop, dlqr,
                             spectral_radius, step)
 from granmpc.sets import Zonotope
 
@@ -52,12 +51,6 @@ def test_model_validation():
                     disturbance=Zonotope.box([0.1, 0.1, 0.1]))
 
 
-def test_gaussian_noise_requires_psd():
-    GaussianNoise(np.eye(2))
-    with pytest.raises(ModelError):
-        GaussianNoise(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
 def test_spectral_radius():
     assert spectral_radius(np.diag([0.5, -0.9])) == pytest.approx(0.9)
 
@@ -90,7 +83,6 @@ def test_dlqr_matches_scipy_dare():
         assert np.allclose(P, P_ref, rtol=1e-7, atol=1e-7)
         K_ref = np.linalg.solve(R + B.T @ P_ref @ B, B.T @ P_ref @ A)
         assert np.allclose(K, K_ref, rtol=1e-7, atol=1e-7)
-        assert dare_residual(A, B, Q, R, P) < 1e-7
         assert spectral_radius(A - B @ K) < 1.0
 
 

@@ -2,6 +2,7 @@
 the tube membership encoding, SQP behavior, and control extraction."""
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,15 @@ def _obstacle(cfg):
 
 def _start_state(cfg):
     return np.array([cfg.start[0], 0.0, cfg.start[1], 0.0])
+
+
+def _census(setup):
+    """Rows per label: static rows, keep-outs, and "coupling" for the
+    coupling equality."""
+    out = Counter(setup.static_labels + setup.keepouts.labels)
+    if setup.a_eq is not None:
+        out["coupling"] = 1
+    return out
 
 
 def test_unknown_method_rejected(cfg):
@@ -108,7 +118,7 @@ def test_problem_built_once_serves_every_state(cfg, method, request):
     y = rng.normal(size=first.n_y)
     y_b = y.copy()
     y_b[:first.n_beta] += x_b - x_a
-    stage = np.array(first.static_labels) != "tube_membership"
+    stage = np.array(setup.static_labels) != "tube_membership"
     assert np.allclose((first.a_static @ y - first.b_static)[stage],
                        (second.a_static @ y_b - second.b_static)[stage], atol=1e-9)
     if first.a_eq is not None:
@@ -143,25 +153,10 @@ def test_membership_rows_refuse_a_slow_tail(cfg, setup_granular):
         ocp.MethodSetup.build(slow, "granular")
 
 
-def test_objective_gradient_finite_difference(cfg, setup_granular):
-    prob = ocp.assemble(setup_granular, _start_state(cfg), _obstacle(cfg))
-    rng = np.random.default_rng(3)
-    y = rng.normal(size=prob.n_y)
-    g = prob.gradient(y)
-    h = 1e-6
-    for i in rng.choice(prob.n_y, size=12, replace=False):
-        e = np.zeros(prob.n_y)
-        e[i] = h
-        fd = (prob.objective(y + e) - prob.objective(y - e)) / (2 * h)
-        assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-5)
-
-
 def test_constraint_census(cfg, setup_granular, setup_rsmpc, setup_rmpc):
-    x0 = _start_state(cfg)
-    obs = _obstacle(cfg)
     n_mem = len(setup_granular.tube_rows_b)
 
-    c = ocp.assemble(setup_granular, x0, obs).census()
+    c = _census(setup_granular)
     assert c["tube_membership"] == n_mem
     assert c["xbar_box"] == 6 * (cfg.ns + 1)
     assert c["ubar_box"] == 4 * cfg.ns
@@ -171,14 +166,14 @@ def test_constraint_census(cfg, setup_granular, setup_rsmpc, setup_rmpc):
     assert c["chance_ellipse"] == cfg.nl + 1
     assert c["coupling"] == 1
 
-    c = ocp.assemble(setup_rsmpc, x0, obs).census()
+    c = _census(setup_rsmpc)
     assert c["tube_membership"] == n_mem
     assert c["chance_velocity"] == 4 * (cfg.nl + 1)
     assert c["robust_ellipse"] == cfg.ns + 1
     assert c["chance_ellipse"] == cfg.nl + 1
     assert "coupling" not in c
 
-    c = ocp.assemble(setup_rmpc, x0, obs).census()
+    c = _census(setup_rmpc)
     assert c["xbar_box"] == 6 * (cfg.n_total + 1)
     assert c["robust_ellipse"] == cfg.n_total + 1
     assert "chance_ellipse" not in c and "coupling" not in c
@@ -219,7 +214,6 @@ def test_solve_matches_batch_solution_without_inequalities(cfg):
         prob = ocp.assemble(setup, _start_state(cfg), None)
         prob.a_static = np.zeros((0, prob.n_y))
         prob.b_static = np.zeros(0)
-        prob.static_labels = []
         prob.nonlinear = []
         settings = ocp.SqpSettings.from_config(cfg)
         settings.pos_step_limit = 1e12   # nothing to guard without keep-outs
@@ -302,12 +296,11 @@ def test_degenerate_horizon_without_coarse_stage(cfg):
     assert prob.trajectories(np.zeros(prob.n_y))[2] is None
     sol = ocp.solve_sqp(prob)
     assert sol.status == "converged"
-    assert sol.cs is None
     # single-rsmpc without a chance stage is the robust problem over Ns steps
     setup = ocp.MethodSetup.build(short, "single-rsmpc")
     assert setup.detail_sched is None
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
-    assert "chance_ellipse" not in prob.census()
+    assert "chance_ellipse" not in _census(setup)
     assert ocp.solve_sqp(prob).status == "converged"
 
 
@@ -326,8 +319,9 @@ def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
 def test_planned_positions_cover_full_horizon(cfg, setup_granular):
     prob = ocp.assemble(setup_granular, _start_state(cfg), _obstacle(cfg))
     sol = ocp.solve_sqp(prob)
-    assert sol.positions.shape == (cfg.n_total + 1, 2)
-    assert np.allclose(sol.positions[:cfg.ns + 1], sol.xbar[:, [0, 2]])
+    positions = prob.positions(sol.y)
+    assert positions.shape == (cfg.n_total + 1, 2)
+    assert np.allclose(positions[:cfg.ns + 1], sol.xbar[:, [0, 2]])
 
 
 def test_solution_trace_records_iterations(cfg, setup_granular):

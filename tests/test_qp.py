@@ -4,7 +4,24 @@ equality constraints and projected gradient descent for box constraints."""
 import numpy as np
 import pytest
 
-from granmpc.qp import QpSolution, kkt_residuals, qp_solve
+from granmpc.qp import QpSolution, qp_solve
+
+
+def kkt_residuals(H, f, sol: QpSolution, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None):
+    """(stationarity, primal feasibility, complementary slackness) of a QP
+    solution, recomputed from the data: the KKT oracle of the QP tests."""
+    x = sol.x
+    g = H @ x + f
+    feas = comp = 0.0
+    if A_ineq is not None and len(b_ineq):
+        s = A_ineq @ x - b_ineq
+        feas = float(np.max(s, initial=0.0))
+        g = g + A_ineq.T @ sol.duals_ineq
+        comp = float(np.max(np.abs(sol.duals_ineq * s), initial=0.0))
+    if A_eq is not None and len(b_eq):
+        feas = max(feas, float(np.max(np.abs(A_eq @ x - b_eq), initial=0.0)))
+        g = g + A_eq.T @ sol.duals_eq
+    return float(np.max(np.abs(g))), feas, comp
 
 
 def _random_spd(rng, n, spread=3.0):

@@ -5,7 +5,8 @@ and still reports infeasible problems and iteration limits."""
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from granmpc.qp import kkt_residuals, qp_solve
+from granmpc.qp import qp_solve
+from test_qp import kkt_residuals
 
 TOL = 1e-9
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,

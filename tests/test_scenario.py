@@ -35,7 +35,7 @@ def configs(draw):
         q_diag=draw(_floats(4)), r_diag=draw(_floats(2)),
         terminal_cost=draw(st.sampled_from(("target", "origin"))),
         k_gain=draw(st.tuples(_floats(4), _floats(4))),
-        sigma_w_diag=draw(_floats(2)),
+        sigma_w_diag=draw(st.tuples(*[st.floats(min_value=0.0, allow_infinity=False)] * 2)),
         risk=draw(st.floats(min_value=0.5, max_value=1.0, exclude_max=True)),
         ns=ns, nl=nl, tube_eps=draw(FLOATS), soft_penalty=draw(FLOATS))
 
@@ -106,6 +106,17 @@ def test_config_validation():
         sc.ScenarioConfig(disturbance_mode="sideways")
     with pytest.raises(sc.ConfigError):
         sc.ScenarioConfig(dt=-0.1)
+    # with no SQP iteration the unsolved start would be executed, and with no
+    # line-search trial no point would be taken
+    for field, bad, edge in (("sigma_w_diag", (0.1, -0.01), (0.0, 0.0)),
+                             ("detailed_sigma_std", -0.1, 0.0),
+                             ("sqp_max_iter", 0, 1), ("sqp_max_halvings", -1, 0)):
+        with pytest.raises(sc.ConfigError, match=field):
+            sc.ScenarioConfig(**{field: bad})
+        assert getattr(sc.ScenarioConfig(**{field: edge}), field) == edge
+    for bad in (0.1, (0.1, 0.1, 0.1)):
+        with pytest.raises(sc.ConfigError, match="sigma_w_diag"):
+            sc.ScenarioConfig(sigma_w_diag=bad)
 
 
 def test_disturbance_modes(cfg):

@@ -49,7 +49,7 @@ def test_tightening_scales_linearly_with_disturbance(cfg):
 
 
 def test_build_tube_requires_bounded_disturbance(cfg):
-    coarse = sc.coarse_model(cfg)  # Gaussian disturbance
+    coarse = sc.coarse_model(cfg)  # no bounded disturbance set
     with pytest.raises(ValueError):
         build_tube(coarse, -np.array(cfg.kc_gain), cfg.tube_eps,
                    sc.state_set(cfg), sc.input_set(cfg))
