@@ -34,7 +34,7 @@ import numpy as np
 
 from . import chance, scenario as sc
 from .models import LinearModel, GainPair
-from .qp import qp_solve
+from .qp import _factor, qp_solve
 from .sets import support
 from .tube import TubeSpec, build_tube
 
@@ -167,21 +167,19 @@ class KeepoutTerms(NamedTuple):
 class MethodSetup:
     """Per-(config, method) data, built once and shared by every step.
 
-    Besides the tube, its membership rows and the covariance schedules, it
-    holds the problem condensed on z = (y, x0): maps from z to the
-    trajectories and the planned positions, the cost on z, the static rows
-    and the coupling equality split into their y and x0 columns, and the
-    stacked keep-outs. All arrays are read-only.
+    Besides the tube and the coarse covariance schedule, it holds the problem
+    condensed on z = (y, x0): maps from z to the trajectories and the planned
+    positions, the cost on z with the QP Hessian H and its factor J, the
+    static rows (the tube membership rows first) and the coupling equality
+    split into their y and x0 columns, and the stacked keep-outs. All arrays
+    are read-only.
     """
 
     cfg: sc.ScenarioConfig
     model: LinearModel
     gains: GainPair
     tube: TubeSpec
-    tube_rows_a: np.ndarray
-    tube_rows_b: np.ndarray
     coarse_sched: Optional[chance.CovarianceSchedule]
-    detail_sched: Optional[chance.CovarianceSchedule]
     n_y: int                     # y = (beta, nu_0..nu_{n_nu-1}, c_0..c_{n_c-1})
     n_nu: int
     n_c: int                     # Nl for granular, else 0
@@ -191,7 +189,8 @@ class MethodSetup:
     cost_z: np.ndarray           # cost = z' cost_z z / 2 + grad_z . z + cost_const
     grad_z: np.ndarray
     cost_const: float
-    H: np.ndarray                # y-y block of cost_z + 1e-8 I
+    H: np.ndarray                # y-y block of cost_z + 1e-8 I, symmetric
+    J: np.ndarray                # inverse Cholesky factor, H^{-1} = J' J
     a_static: np.ndarray         # a_static y + static_x x0 <= static_ub
     static_x: np.ndarray
     static_ub: np.ndarray
@@ -221,8 +220,7 @@ class MethodSetup:
                 detail_sched = chance.propagate_covariance(
                     gains.Phi, np.eye(4), (std * std) * np.eye(4),
                     np.zeros((4, 4)), cfg.nl)
-        return cls(cfg, model, gains, tube, _frozen(tube_a),
-                   _frozen(tube_b), coarse_sched, detail_sched,
+        return cls(cfg, model, gains, tube, coarse_sched,
                    **_condense(cfg, method, model, gains, tube, tube_a, tube_b,
                                coarse_sched, detail_sched))
 
@@ -287,6 +285,9 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
     cost_z = sum(2.0 * M.T @ W @ M for M, W, _ in terms)
     grad_z = sum(-2.0 * M.T @ (W @ ref) for M, W, ref in terms)
     cost_const = sum(float(ref @ W @ ref) for _, W, ref in terms)
+    # every variable enters the cost (the smallest eigenvalue is about 0.03 on
+    # the default config); the ridge guards configs with zero weights
+    J, H = _factor(cost_z[:n_y, :n_y] + 1e-8 * np.eye(n_y))
 
     descs: list = []
     robust_last = kd if method == "single-rmpc" else min(ns, kd)
@@ -320,9 +321,7 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
         traj_map=_frozen(np.vstack(X + U + Zc + V)),
         pos_map=_frozen(np.vstack(maps["state_pos"][1] + Zc[1:])),
         cost_z=_frozen(cost_z), grad_z=_frozen(grad_z), cost_const=cost_const,
-        # every variable enters the cost (the smallest eigenvalue is about
-        # 0.03 on the default config); the ridge guards configs with zero weights
-        H=_frozen(cost_z[:n_y, :n_y] + 1e-8 * np.eye(n_y)),
+        H=_frozen(H), J=_frozen(J),
         a_static=_frozen(static[:, :n_y]), static_x=_frozen(static[:, n_y:]),
         static_ub=_frozen(np.concatenate([tube_b, [d.ub for d in stage_rows]])),
         static_labels=("tube_membership",) * len(tube_b) + tuple(d.label for d in stage_rows),
@@ -558,9 +557,11 @@ class OcpSolution:
 def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
     """Retry with nonnegative slacks on the obstacle rows, penalized linearly."""
     n, m = prob.n_y, len(b_nl)
-    H = np.zeros((n + m, n + m))
-    H[:n, :n] = prob.H
-    H[n:, n:] = 1e-6 * np.eye(m)
+    # H and its factor are block diagonal: the setup's and a slack curvature
+    # of 1e-6, whose inverse Cholesky factor is 1e3
+    H, J = np.zeros((2, n + m, n + m))
+    H[:n, :n], J[:n, :n] = prob.H, prob.setup.J
+    H[n:, n:], J[n:, n:] = 1e-6 * np.eye(m), 1e3 * np.eye(m)
     f = np.concatenate([prob.f, penalty * np.ones(m)])
     a_top = np.hstack([prob.a_static, np.zeros((len(prob.b_static), m))])
     a_mid = np.hstack([a_nl, -np.eye(m)])
@@ -571,7 +572,7 @@ def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
     if prob.a_eq is not None and len(prob.a_eq):
         a_eq = np.hstack([prob.a_eq, np.zeros((len(prob.b_eq), m))])
         b_eq = prob.b_eq
-    return qp_solve(H, f, A, b, a_eq, b_eq, active=active)
+    return qp_solve(H, f, A, b, a_eq, b_eq, active=active, factor=J)
 
 
 def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
@@ -620,7 +621,8 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     for it in range(1, settings.max_iter + 1):
         A = np.vstack([prob.a_static, a_nl])
         b = np.concatenate([prob.b_static, b_nl])
-        sol = qp_solve(prob.H, prob.f, A, b, prob.a_eq, prob.b_eq, active=active)
+        sol = qp_solve(prob.H, prob.f, A, b, prob.a_eq, prob.b_eq, active=active,
+                       factor=prob.setup.J)
         qp_total += sol.iterations
         soft_used = sol.status != "optimal"
         if soft_used:

@@ -23,7 +23,9 @@ guess costs iterations, never the result. Equality-constrained minimizers
 are solved from their KKT system, and once the dual steps reach an optimum
 it is solved again that way from its final working set, which clears the
 rounding the steps accumulate on badly scaled problems (a stiff penalty on
-a lightly weighted slack).
+a lightly weighted slack). Beyond those KKT systems the solve uses H only
+through J = L^{-1} for H = L L' (Goldfarb & Idnani's form): a caller that
+solves many QPs with one H passes ``factor=_factor(H)[0]``, factored once.
 
 The contract is the KKT residuals on reported optima: stationarity <= 1e-7,
 complementary slackness <= 1e-7, and primal feasibility row by row: with the
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular, LinAlgError
 
 
 @dataclass
@@ -50,13 +51,15 @@ class QpSolution:
     active_set: list = field(default_factory=list)
 
 
-def _factor(H: np.ndarray, reg: float):
+def _factor(H: np.ndarray, reg: float = 1e-9):
+    """(J, Hs): Hs = L L' is H symmetrized (plus reg I if that is not
+    positive definite) and J = L^{-1}, so Hs^{-1} = J' J."""
     H = (H + H.T) / 2.0
     try:
-        return cho_factor(H, lower=True), H
-    except LinAlgError:
+        return np.linalg.inv(np.linalg.cholesky(H)), H
+    except np.linalg.LinAlgError:
         Hr = H + reg * np.eye(H.shape[0])
-        return cho_factor(Hr, lower=True), Hr
+        return np.linalg.inv(np.linalg.cholesky(Hr)), Hr
 
 
 def _solve(M, rhs):
@@ -84,7 +87,8 @@ def _independent(V: np.ndarray, tol: float) -> list:
 
 def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
              tol: float = 1e-9, max_iter: Optional[int] = None,
-             reg: float = 1e-9, active: Iterable[int] = ()) -> QpSolution:
+             reg: float = 1e-9, active: Iterable[int] = (),
+             factor: Optional[np.ndarray] = None) -> QpSolution:
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
     n = f.shape[0]
@@ -96,13 +100,13 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     if max_iter is None:
         max_iter = 50 * (n + m_in + m_eq + 10)
 
-    L, Hf = _factor(H, reg)
-    x = -cho_solve(L, f)
+    J, Hf = _factor(H, reg) if factor is None else (factor, H)
+    x = -(J.T @ (J @ f))
 
     # Working set in ">=" form n . x >= d: equality j as (A_eq[j], b_eq[j]),
     # inequality i as (-A_ineq[i], -b_ineq[i]). act_idx holds row numbers,
     # act_u their multipliers; the first m_act columns of N_buf and W_buf hold
-    # the normals N and W = H^{-1} N (valid while L is fixed).
+    # the normals N and W = H^{-1} N.
     act_idx: list[int] = []
     act_u: list[float] = []
     N_buf = np.empty((n, n))
@@ -131,7 +135,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
         ins = [i - m_eq for i in rows if i >= m_eq]
         N = np.hstack([A_e[eqs].T, -A_in[ins].T])
         d = np.concatenate([b_e[eqs], -b_in[ins]])
-        sel = _independent(solve_triangular(L[0], N, lower=True, check_finite=False), tol)
+        sel = _independent(J @ N, tol)
         rows, N, d = [rows[j] for j in sel], N[:, sel], d[sel]
         while True:
             # KKT system [[H, N], [N', 0]] [x; -u] = [-f; d], solved directly:
@@ -149,7 +153,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
             N, d = np.delete(N, worst, axis=1), np.delete(d, worst)
         m_act = len(rows)
         N_buf[:, :m_act] = N
-        W_buf[:, :m_act] = cho_solve(L, N, check_finite=False)
+        W_buf[:, :m_act] = J.T @ (J @ N)
         act_idx, act_u = rows, [float(v) for v in u]
 
     # Initial working set: the equalities, then the guessed inequalities.
@@ -187,20 +191,16 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
         polished = False
         n_p, d_p = -A_in[p], -b_in[p]
         u_p = 0.0
-        Hin = cho_solve(L, n_p, check_finite=False)
+        Hin = J.T @ (J @ n_p)
 
         while True:
             iters += 1
             if iters > max_iter:
                 return result("iteration_limit")
-            if m_act:
-                N = N_buf[:, :m_act]
-                W = W_buf[:, :m_act]
-                r = _solve(N.T @ W, N.T @ Hin)
-                z = Hin - W @ r
-            else:
-                r = np.zeros(0)
-                z = Hin
+            N = N_buf[:, :m_act]
+            W = W_buf[:, :m_act]
+            r = _solve(N.T @ W, N.T @ Hin)
+            z = Hin - W @ r
 
             # Dual blocking step (only droppable, i.e. inequality, constraints).
             t1, blk = np.inf, -1

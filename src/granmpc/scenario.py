@@ -252,7 +252,7 @@ def state_set(cfg: ScenarioConfig) -> HPolytope:
     ]
     A = np.array([r[0] for r in rows])
     b = np.array([r[1] for r in rows])
-    return HPolytope(A, b, check_nonempty=False)
+    return HPolytope(A, b)
 
 
 def input_set(cfg: ScenarioConfig) -> HPolytope:

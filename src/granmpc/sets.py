@@ -4,7 +4,10 @@ Constraint sets are kept in H-representation (HPolytope); disturbance
 propagation sets are zonotopes, which are closed under linear maps and
 Minkowski sums. The Pontryagin difference of an H-polytope minus a zonotope
 is exact via support-function offset tightening, so no general polytope
-Minkowski sums are ever needed.
+Minkowski sums are ever needed. Every polytope the program checks is an axis
+box, so its emptiness and inscribed radius come in closed form from per-axis
+bounds; the LPs left (a polytope's support, a zonotope's membership) serve
+tests and input checks only.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 
 class SetError(ValueError):
@@ -57,23 +59,30 @@ class HPolytope:
         return self.normals.shape[1]
 
     def chebyshev_radius(self) -> float:
-        """Radius of the largest inscribed ball (negative means empty)."""
-        A, b = self.normals, self.offsets
-        norms = np.linalg.norm(A, axis=1)
-        # max r s.t. A x + ||a_i|| r <= b; variables (x, r)
-        c = np.zeros(self.dim + 1)
-        c[-1] = -1.0
-        A_ub = np.hstack([A, norms[:, None]])
-        res = linprog(c, A_ub=A_ub, b_ub=b, bounds=[(None, None)] * self.dim + [(None, None)])
-        if not res.success:
-            return -np.inf
-        return float(res.x[-1])
+        """Radius of the largest inscribed ball: half the narrowest axis
+        width, negative when empty, inf when no axis is closed on both sides."""
+        return float(np.min(_box_widths(self.normals, self.offsets)[0], initial=np.inf)) / 2.0
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return bool(np.all(self.normals @ np.asarray(x, dtype=float) <= self.offsets + tol))
 
     def to_json(self) -> dict:
         return {"type": "hpolytope", "normals": self.normals.tolist(), "offsets": self.offsets.tolist()}
+
+
+def _box_widths(A: np.ndarray, b: np.ndarray):
+    """(width, axis, dist) of the axis box A x <= b: per axis its width (inf
+    with a side open, negative when empty); per row the axis it bounds and its
+    offset over its normal's length. Raises SetError for a row off the axes."""
+    if np.any(np.count_nonzero(A, axis=1) != 1):
+        raise SetError("only axis boxes are supported: a polytope row has more than one nonzero")
+    axis = np.argmax(A != 0.0, axis=1)
+    scale = A[np.arange(len(A)), axis]
+    dist = b / np.abs(scale)
+    hi, neg_lo = np.full(A.shape[1], np.inf), np.full(A.shape[1], np.inf)
+    np.minimum.at(hi, axis[scale > 0.0], dist[scale > 0.0])
+    np.minimum.at(neg_lo, axis[scale < 0.0], dist[scale < 0.0])
+    return hi + neg_lo, axis, dist
 
 
 @dataclass(frozen=True)
@@ -116,6 +125,7 @@ class Zonotope:
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Membership via LP: x = c + G beta with |beta| <= 1."""
+        from scipy.optimize import linprog
         r = np.asarray(x, dtype=float) - self.center
         G = self.generators
         if G.shape[1] == 0:
@@ -140,6 +150,7 @@ def support(s, direction) -> float:
     if isinstance(s, Zonotope):
         return float(s.center @ d + np.sum(np.abs(s.generators.T @ d)))
     if isinstance(s, HPolytope):
+        from scipy.optimize import linprog
         res = linprog(-d, A_ub=s.normals, b_ub=s.offsets, bounds=[(None, None)] * s.dim)
         if res.status == 3:
             raise SetError(f"polytope unbounded in direction {d.tolist()}")
@@ -165,27 +176,22 @@ def linear_map(M, s: Zonotope) -> Zonotope:
 def pontryagin_diff(p: HPolytope, z: Zonotope) -> HPolytope:
     """Tighten each half-space offset by the subtrahend's support.
 
-    Exact for a convex compact subtrahend. Raises EmptySetError naming the
-    most violated half-space if the result is empty.
+    Exact for a convex compact subtrahend. Raises EmptySetError if the
+    result is empty, naming the more tightened bound of its narrowest axis.
     """
     if p.dim != z.dim:
         raise ValueError("dimension mismatch in Pontryagin difference")
     tightened = p.offsets - np.array([support(z, a) for a in p.normals])
-    try:
-        return HPolytope(p.normals, tightened)
-    except EmptySetError:
-        # Least-infeasibility LP to attribute the emptiness to a half-space.
-        A = p.normals
-        c = np.zeros(p.dim + 1)
-        c[-1] = 1.0
-        A_ub = np.hstack([A, -np.ones((A.shape[0], 1))])
-        res = linprog(c, A_ub=A_ub, b_ub=tightened, bounds=[(None, None)] * p.dim + [(0, None)])
-        worst = int(np.argmax(A @ res.x[:-1] - tightened)) if res.success else 0
+    width, axis, dist = _box_widths(p.normals, tightened)
+    j = int(np.argmin(width))
+    if width[j] < 0.0:
+        rows = np.flatnonzero(axis == j)
+        worst = int(rows[np.argmin(dist[rows])])
         raise EmptySetError(
             "Pontryagin difference is empty: subtrahend exceeds half-space "
-            f"{worst} (normal {A[worst].tolist()}, offset {p.offsets[worst]:.6g}); "
-            "the disturbance set is too large for the constraint set"
-        ) from None
+            f"{worst} (normal {p.normals[worst].tolist()}, offset {p.offsets[worst]:.6g}); "
+            "the disturbance set is too large for the constraint set")
+    return HPolytope(p.normals, tightened)
 
 
 def reduce_generators(z: Zonotope, max_generators: int = 512) -> Zonotope:

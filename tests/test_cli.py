@@ -6,6 +6,10 @@ exactly what a shell invocation would see.
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 
@@ -118,3 +122,22 @@ def test_compare_report(tmp_path):
     assert report["n_runs"] == 1
     assert report["time_ratio_granular_vs_single_rsmpc"] > 0
     assert report["cost_ratio_granular_vs_single_rsmpc"] > 0
+
+
+def test_run_path_imports_no_scipy():
+    # scipy serves tests and input checks only; importing it costs about a
+    # third of a second of CPU at every start
+    code = """
+import sys
+from granmpc import cli, ocp, scenario as sc, simulate
+cfg = sc.load_config(None).with_overrides({"world.max_steps": "3"})
+setups = {m: ocp.MethodSetup.build(cfg, m) for m in ocp.METHODS}
+simulate.run_closed_loop(cfg, "granular", 0, setup=setups["granular"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=300, check=True)
+    assert out.stdout.strip() == "[]"

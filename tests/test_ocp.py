@@ -137,15 +137,37 @@ def test_problem_built_once_serves_every_state(cfg, method, request):
               for f in dataclasses.fields(obj)]
     shared = [a for a in shared if isinstance(a, np.ndarray)]
     assert len(shared) >= 12 and not any(a.flags.writeable for a in shared)
-    for arr in (first.H, first.a_static, setup.keepouts.S[0]):
+    assert any(a is setup.J for a in shared)
+    for arr in (first.H, setup.J, first.a_static, setup.keepouts.S[0]):
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("method", ocp.METHODS)
+def test_qp_factors_invert_the_hessians(cfg, method, request, monkeypatch):
+    # the setup's factor and the soft QP's block factor built from it are
+    # exact: J' J H = I, so no QP needs to factor its Hessian
+    setup = request.getfixturevalue(_SETUP_FIXTURE[method])
+    prob = ocp.assemble(setup, _start_state(cfg), _obstacle(cfg))
+    n = prob.n_y
+    assert np.allclose(setup.J.T @ setup.J @ setup.H, np.eye(n), rtol=0.0, atol=1e-9)
+    seen = []
+    monkeypatch.setattr(ocp, "qp_solve", lambda H, *a, factor, **k: seen.append((H, factor)))
+    _, a_nl, b_nl = ocp.nonlinear_violation(prob, ocp.cold_start(prob))
+    ocp._solve_soft(prob, a_nl, b_nl, 1e6, [])
+    (H, J), = seen
+    assert H.shape == (n + len(b_nl),) * 2 and np.array_equal(H[:n, :n], setup.H)
+    assert np.allclose(J.T @ J @ H, np.eye(len(H)), rtol=0.0, atol=1e-9)
+
+
+def _membership_rows(cfg, setup):
+    return ocp.membership_rows(setup.tube, sc.state_set(cfg).normals, setup.gains.K)
 
 
 def test_membership_rows_refuse_a_slow_tail(cfg, setup_granular):
     # with a weak error feedback the directions do not decay within the
     # power cap; truncating them would break the polytope's invariance
-    assert len(setup_granular.tube_rows_b) == 820
+    assert len(_membership_rows(cfg, setup_granular)[1]) == 820
     slow = cfg.with_overrides({"robot.disturbance_bound": "0.01",
                                "robot.disturbance_pos_bound": "0.003",
                                "gains.k_gain": "[[0.1,0.8,0,0],[0,0,0.1,0.8]]"})
@@ -154,7 +176,7 @@ def test_membership_rows_refuse_a_slow_tail(cfg, setup_granular):
 
 
 def test_constraint_census(cfg, setup_granular, setup_rsmpc, setup_rmpc):
-    n_mem = len(setup_granular.tube_rows_b)
+    n_mem = len(_membership_rows(cfg, setup_granular)[1])
 
     c = _census(setup_granular)
     assert c["tube_membership"] == n_mem
@@ -183,7 +205,7 @@ def test_membership_rows_cover_tube(cfg, setup_granular):
     # every point of Z satisfies the membership polytope, so any true error
     # admits a feasible nominal initial state
     tube = setup_granular.tube
-    A, b = setup_granular.tube_rows_a, setup_granular.tube_rows_b
+    A, b = _membership_rows(cfg, setup_granular)
     rng = np.random.default_rng(7)
     for _ in range(50):
         beta = rng.uniform(-1.0, 1.0, size=tube.Z.n_generators)
@@ -196,7 +218,7 @@ def test_membership_rows_closed_under_dynamics(cfg, setup_granular):
     # support, so the encoded polytope tracks the error recursion
     tube = setup_granular.tube
     from granmpc.sets import support
-    A, b = setup_granular.tube_rows_a, setup_granular.tube_rows_b
+    A, b = _membership_rows(cfg, setup_granular)
     for a, ub in zip(A, b):
         assert ub == pytest.approx(support(tube.Z, a), abs=1e-12)
         nxt = tube.Phi.T @ a
@@ -298,9 +320,8 @@ def test_degenerate_horizon_without_coarse_stage(cfg):
     assert sol.status == "converged"
     # single-rsmpc without a chance stage is the robust problem over Ns steps
     setup = ocp.MethodSetup.build(short, "single-rsmpc")
-    assert setup.detail_sched is None
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
-    assert "chance_ellipse" not in _census(setup)
+    assert not {"chance_ellipse", "chance_velocity"} & set(_census(setup))
     assert ocp.solve_sqp(prob).status == "converged"
 
 

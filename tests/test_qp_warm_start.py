@@ -5,7 +5,7 @@ and still reports infeasible problems and iteration limits."""
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from granmpc.qp import qp_solve
+from granmpc.qp import _factor, qp_solve
 from test_qp import kkt_residuals
 
 TOL = 1e-9
@@ -94,6 +94,10 @@ def test_warm_start_returns_cold_optimum(qp, data):
     assert warm.status == "optimal"
     assert np.max(np.abs(warm.x - cold.x)) <= 1e-8
     _check_contract(H, f, warm, A, b, A_eq, b_eq)
+    # a factor passed in gives the solve qp_solve makes with its own
+    factored = qp_solve(H, f, A, b, A_eq, b_eq, active=guess, factor=_factor(H)[0])
+    assert factored.status == "optimal" and factored.active_set == warm.active_set
+    assert np.max(np.abs(factored.x - warm.x)) <= 1e-12
 
 
 @PROPERTY

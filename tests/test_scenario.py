@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import granmpc.scenario as sc
 from granmpc import chance
+from granmpc.sets import EmptySetError
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -157,6 +158,9 @@ def test_state_and_input_sets(cfg):
     U = sc.input_set(cfg)
     assert U.contains([3.0, -3.0])
     assert not U.contains([3.1, 0.0])
+    # checked for emptiness although unbounded in p_x
+    with pytest.raises(EmptySetError):
+        sc.state_set(cfg.with_overrides({"world.lane_low": "3.0"}))
 
 
 def test_rmpc_constraints_content(cfg, tube):
@@ -191,7 +195,9 @@ def test_smpc_constraints_lane_margin_value(cfg, setup_granular):
 
 
 def test_smpc_constraints_detailed_kind(cfg, setup_rsmpc):
-    sigma = setup_rsmpc.detail_sched[4]
+    std = cfg.detailed_sigma_std
+    sigma = chance.propagate_covariance(setup_rsmpc.gains.Phi, np.eye(4), std * std * np.eye(4),
+                                        np.zeros((4, 4)), cfg.nl)[4]
     rows = sc.build_smpc_constraints(cfg, 4, sigma, model_kind="detailed")
     labels = [r.label for r in rows]
     assert labels.count("chance_velocity") == 4

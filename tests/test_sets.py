@@ -1,8 +1,11 @@
 """Set-operations tests: supports, Minkowski sums, Pontryagin differences,
 and the invariant-set recursion, all checked against brute-force oracles."""
 
+import re
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from granmpc.sets import (EmptySetError, HPolytope, SetError, Zonotope,
                           linear_map, minkowski_sum, mrpi_outer,
@@ -54,11 +57,22 @@ def test_polytope_support_box():
 
 
 def test_polytope_support_unbounded_raises():
-    # half-plane, unbounded downward (skip the emptiness probe: its inscribed
-    # ball radius is unbounded, which the constructor would reject)
-    p = HPolytope([[1.0, 0.0]], [1.0], check_nonempty=False)
+    # half-plane, unbounded downward: nonempty, but without a finite support
+    p = HPolytope([[1.0, 0.0]], [1.0])
     with pytest.raises(SetError):
         support(p, [-1.0, 0.0])
+
+
+def test_unbounded_polytopes_are_nonempty():
+    # a half-plane and a quadrant hold balls of every radius
+    for A, b in (([[1.0, 0.0]], [1.0]), ([[1.0, 0.0], [0.0, 1.0]], [1.0, -5.0])):
+        assert HPolytope(A, b).chebyshev_radius() == np.inf
+
+
+def test_checked_polytope_off_the_axes_raises():
+    HPolytope([[1.0, 1.0]], [1.0], check_nonempty=False)
+    with pytest.raises(SetError, match="axis"):
+        HPolytope([[1.0, 1.0]], [1.0])
 
 
 def test_support_rejects_bad_direction():
@@ -122,6 +136,61 @@ def test_chebyshev_radius_box():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     p = HPolytope(A, np.array([2.0, 2.0, 1.0, 1.0]))
     assert p.chebyshev_radius() == pytest.approx(1.0, abs=1e-8)
+
+
+def _random_box(rng):
+    """Axis box with shuffled rows, one to three per bounded side, scaled
+    normals, and some axes one-sided or free; often empty."""
+    dim = int(rng.integers(1, 5))
+    rows, offsets = [], []
+    for j in range(dim):
+        for sign in (1.0, -1.0):
+            if rng.random() < 0.25:
+                continue                       # this side of the axis is open
+            for _ in range(int(rng.integers(1, 4))):
+                scale = rng.uniform(0.2, 3.0)
+                rows.append(sign * scale * np.eye(dim)[j])
+                offsets.append(scale * rng.uniform(-1.0, 2.0))
+    order = rng.permutation(len(rows))
+    return np.reshape(rows, (-1, dim))[order], np.array(offsets)[order]
+
+
+def _chebyshev_lp(A, b):
+    """max r s.t. A x + |a_i| r <= b, as the LP; inf when unbounded."""
+    res = linprog(np.r_[np.zeros(A.shape[1]), -1.0],
+                  A_ub=np.hstack([A, np.linalg.norm(A, axis=1)[:, None]]), b_ub=b,
+                  bounds=[(None, None)] * (A.shape[1] + 1))
+    return np.inf if res.status == 3 else float(res.x[-1])
+
+
+def test_box_closed_form_matches_the_lps():
+    rng = np.random.default_rng(29)
+    empty = 0
+    for _ in range(300):
+        A, b = _random_box(rng)
+        r = HPolytope(A, b, check_nonempty=False).chebyshev_radius()
+        assert r == pytest.approx(_chebyshev_lp(A, b), abs=1e-9)
+        # the Pontryagin difference of the box with unit rows (as the program
+        # builds them) names a half-space that the old least-infeasibility LP
+        # finds most violated; the LP cannot tell the bounds of the emptied
+        # axis apart, so it may name the other one
+        norms = np.linalg.norm(A, axis=1)
+        p = HPolytope(A / norms[:, None], b / norms, check_nonempty=False)
+        z = Zonotope.box(rng.uniform(0.01, 0.5, size=p.dim))
+        tightened = p.offsets - np.array([support(z, a) for a in p.normals])
+        if _chebyshev_lp(p.normals, tightened) >= 0.0:
+            assert np.allclose(pontryagin_diff(p, z).offsets, tightened, rtol=0.0, atol=1e-12)
+            continue
+        empty += 1
+        with pytest.raises(EmptySetError) as err:
+            pontryagin_diff(p, z)
+        worst = int(re.search(r"half-space (\d+)", str(err.value)).group(1))
+        res = linprog(np.r_[np.zeros(p.dim), 1.0],
+                      A_ub=np.hstack([p.normals, -np.ones((len(b), 1))]), b_ub=tightened,
+                      bounds=[(None, None)] * p.dim + [(0, None)])
+        viol = p.normals @ res.x[:-1] - tightened
+        assert viol[worst] >= np.max(viol) - 1e-9
+    assert 30 <= empty <= 270
 
 
 def test_empty_polytope_raises():
