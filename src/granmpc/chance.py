@@ -38,9 +38,6 @@ class CovarianceSchedule:
     def __getitem__(self, k: int) -> np.ndarray:
         return self.sigmas[k]
 
-    def __len__(self) -> int:
-        return len(self.sigmas)
-
     def to_json(self) -> dict:
         return {
             "sigmas": [s.tolist() for s in self.sigmas],

@@ -32,12 +32,8 @@ class LinearModel:
             raise ModelError("inconsistent model dimensions")
         if self.dt <= 0.0:
             raise ModelError("sampling time must be positive")
-        d = self.disturbance
-        if d is not None:
-            if d.dim != G.shape[1]:
-                raise ModelError("disturbance set dimension mismatch")
-            if not np.allclose(np.abs(d.center), 0.0) and not d.contains(np.zeros(d.dim)):
-                raise ModelError("bounded disturbance set must contain the origin")
+        if self.disturbance is not None and self.disturbance.dim != G.shape[1]:
+            raise ModelError("disturbance set dimension mismatch")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "G", G)

@@ -334,27 +334,35 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
 class OcpProblem:
     """One step's problem: the setup's data plus the x0 and obstacle terms."""
 
-    cfg: sc.ScenarioConfig
     setup: MethodSetup
     x0: np.ndarray
-    n_y: int
-    n_beta: int
-    n_nu: int
-    H: np.ndarray
     f: np.ndarray
     c0: float
-    a_eq: Optional[np.ndarray]
     b_eq: Optional[np.ndarray]
     a_static: np.ndarray
     b_static: np.ndarray
     nonlinear: KeepoutTerms      # an empty sequence means no keep-outs
 
+    # -- the setup's data ----------------------------------------------------
+    @property
+    def n_y(self) -> int:
+        return self.setup.n_y
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.setup.H
+
+    @property
+    def a_eq(self) -> Optional[np.ndarray]:
+        return self.setup.a_eq
+
     # -- slices --------------------------------------------------------------
     def nu_slice(self, k: int) -> slice:
-        return slice(self.n_beta + 2 * k, self.n_beta + 2 * k + 2)
+        n_beta = self.setup.model.n_states
+        return slice(n_beta + 2 * k, n_beta + 2 * k + 2)
 
     def c_slice(self, j: int) -> slice:
-        base = self.n_beta + 2 * self.n_nu
+        base = self.setup.model.n_states + 2 * self.setup.n_nu
         return slice(base + 2 * j, base + 2 * j + 2)
 
     # -- evaluation ----------------------------------------------------------
@@ -389,11 +397,10 @@ def assemble(setup: MethodSetup, x0, obstacle: Optional[sc.DynamicObstacle] = No
     if obstacle is not None:
         centers = sc.predict_obstacle(obstacle, setup.cfg.n_total, setup.cfg.dt)[ko.stage]
     return OcpProblem(
-        cfg=setup.cfg, setup=setup, x0=x0, n_y=n,
-        n_beta=setup.model.n_states, n_nu=setup.n_nu, H=setup.H,
+        setup=setup, x0=x0,
         f=Hz[:n, n:] @ x0 + gz[:n],
         c0=float(0.5 * x0 @ Hz[n:, n:] @ x0 + gz[n:] @ x0 + setup.cost_const),
-        a_eq=setup.a_eq, b_eq=None if setup.eq_x is None else -(setup.eq_x @ x0),
+        b_eq=None if setup.eq_x is None else -(setup.eq_x @ x0),
         a_static=setup.a_static, b_static=setup.static_ub - setup.static_x @ x0,
         nonlinear=KeepoutTerms(ko.x @ x0, centers))
 
@@ -466,7 +473,7 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     nearly fills the lane and an over-the-top reference would start the
     solver at the lane bound.
     """
-    cfg = prob.cfg
+    cfg = prob.setup.cfg
     y = np.zeros(prob.n_y)
     p0 = prob.x0[[0, 2]]
     tgt = np.array(cfg.target, dtype=float)
@@ -498,7 +505,7 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     v_ref = np.clip(v_ref, -cfg.vel_limit, cfg.vel_limit)
     v_ref = np.vstack([v_ref, v_ref[-1]])
     K, Kc = prob.setup.gains.K, prob.setup.gains.Kc
-    for k in range(prob.n_nu):
+    for k in range(prob.setup.n_nu):
         y[prob.nu_slice(k)] = -K @ np.array([p_ref[k, 0], v_ref[k, 0], p_ref[k, 1], v_ref[k, 1]])
     for j, k in enumerate(range(cfg.ns, cfg.ns + prob.setup.n_c)):
         y[prob.c_slice(j)] = v_ref[k] - Kc @ p_ref[k]
@@ -517,18 +524,20 @@ def shift_warm_start(prob: OcpProblem, prev: "OcpSolution") -> np.ndarray:
     obstacle prediction break other rows (ROADMAP item 2).
     """
     # y = (beta, nu_0..nu_{n_nu-1}, c_0..c_{n_c-1})
+    st = prob.setup
+    n_beta = st.model.n_states
     y = prev.y.copy()
-    y[:prob.n_beta] = prob.x0 - (prev.xbar[1] if len(prev.xbar) > 1 else prev.xbar[0])
+    y[:n_beta] = prob.x0 - (prev.xbar[1] if len(prev.xbar) > 1 else prev.xbar[0])
     c0 = prob.c_slice(0).start
-    y[prob.n_beta:c0 - 2] = prev.y[prob.n_beta + 2:c0]
+    y[n_beta:c0 - 2] = prev.y[n_beta + 2:c0]
     y[c0:-2] = prev.y[c0 + 2:]
-    if prev.vbar is not None and prob.n_nu:
+    if prev.vbar is not None and st.n_nu:
         # the shift promotes the first coarse stage to the last detailed
         # one; emulate its velocity input with the acceleration that
         # reproduces the same position update over one sample
         x_end = prev.xbar[-1]
-        acc = 2.0 * (prev.vbar[0] - x_end[[1, 3]]) / prob.cfg.dt
-        y[prob.nu_slice(prob.n_nu - 1)] = acc - prob.setup.gains.K @ x_end
+        acc = 2.0 * (prev.vbar[0] - x_end[[1, 3]]) / st.cfg.dt
+        y[prob.nu_slice(st.n_nu - 1)] = acc - st.gains.K @ x_end
     return y
 
 
@@ -587,7 +596,7 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     reference, the best-iterate and stall tests, the trace row and the status.
     """
     if settings is None:
-        settings = SqpSettings.from_config(prob.cfg)
+        settings = SqpSettings.from_config(prob.setup.cfg)
     t_start = time.perf_counter()
     # QP working set carried from each QP to the next (see the module docstring)
     if warm_start is not None:
@@ -642,16 +651,14 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
             y_full = sol.x
             active = sol.active_set
         step = y_full - y
-        step_norm = float(np.max(np.abs(step))) if step.size else 0.0
+        step_norm = float(np.max(np.abs(step)))
         # position trust region: keep the linearization local so the solver
         # stays in the basin of the current plan instead of jumping across
         # a keep-out in a single linearized step
         t = 1.0
-        if settings.pos_step_limit > 0.0 and step.size:
-            disp = prob.positions(y + step) - prob.positions(y)
-            max_disp = float(np.max(np.abs(disp))) if disp.size else 0.0
-            if max_disp > settings.pos_step_limit:
-                t = settings.pos_step_limit / max_disp
+        max_disp = float(np.max(np.abs(prob.positions(y + step) - prob.positions(y))))
+        if max_disp > settings.pos_step_limit:
+            t = settings.pos_step_limit / max_disp
         # line search: halve until the true violation does not grow; when
         # the halvings run out, the point one halving further is taken
         v_ok = max(v, 0.0) + settings.violation_tol
@@ -667,7 +674,7 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
             trace.append({"iter": it, "step_norm": step_norm, "damping": t,
                           "objective": prob.objective(y), "violation": v,
                           "qp_iterations": sol.iterations})
-        if step_norm * t < settings.step_tol or (t == 1.0 and step_norm < settings.step_tol):
+        if step_norm * t < settings.step_tol:
             break
         # when the problem is genuinely infeasible the softened iterates can
         # cycle without reducing the true violation; stop paddling once no
@@ -683,7 +690,7 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     # like any iterate; it is no feasible fallback (ROADMAP item 2)
     if best_v > settings.violation_tol:
         status = "violating"
-    elif it < settings.max_iter or float(np.max(np.abs(step))) * t < settings.step_tol:
+    elif it < settings.max_iter or step_norm * t < settings.step_tol:
         # at the cap the last step may still have been tiny
         status = "converged"
     else:
@@ -694,7 +701,7 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
 def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
                    t_start, active, violation) -> OcpSolution:
     xbar, ubar, _, vbar = prob.trajectories(y)
-    nus = np.array([y[prob.nu_slice(k)] for k in range(prob.n_nu)])
+    nus = np.array([y[prob.nu_slice(k)] for k in range(prob.setup.n_nu)])
     return OcpSolution(
         y=y.copy(), status=status, iterations=iterations, qp_iterations=qp_total, softened=softened,
         solve_time_ms=1e3 * (time.perf_counter() - t_start),

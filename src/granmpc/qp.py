@@ -28,8 +28,8 @@ through J = L^{-1} for H = L L' (Goldfarb & Idnani's form): a caller that
 solves many QPs with one H passes ``factor=_factor(H)[0]``, factored once.
 
 The contract is the KKT residuals on reported optima: stationarity <= 1e-7,
-complementary slackness <= 1e-7, and primal feasibility row by row: with the
-default tol every row i is met to tol * (1 + |b_i|), i.e. to 1e-8 wherever
+complementary slackness <= 1e-7, and primal feasibility row by row: every
+row i is met to _TOL * (1 + |b_i|) with _TOL = 1e-9, i.e. to 1e-8 wherever
 |b_i| <= 9, however large the offsets of the other rows.
 """
 
@@ -39,6 +39,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
+
+_TOL = 1e-9   # feasibility and dependence tolerance (see the module docstring)
+_REG = 1e-9   # ridge added to a Hessian that is not positive definite
 
 
 @dataclass
@@ -51,14 +54,14 @@ class QpSolution:
     active_set: list = field(default_factory=list)
 
 
-def _factor(H: np.ndarray, reg: float = 1e-9):
-    """(J, Hs): Hs = L L' is H symmetrized (plus reg I if that is not
+def _factor(H: np.ndarray):
+    """(J, Hs): Hs = L L' is H symmetrized (plus _REG I if that is not
     positive definite) and J = L^{-1}, so Hs^{-1} = J' J."""
     H = (H + H.T) / 2.0
     try:
         return np.linalg.inv(np.linalg.cholesky(H)), H
     except np.linalg.LinAlgError:
-        Hr = H + reg * np.eye(H.shape[0])
+        Hr = H + _REG * np.eye(H.shape[0])
         return np.linalg.inv(np.linalg.cholesky(Hr)), Hr
 
 
@@ -69,14 +72,14 @@ def _solve(M, rhs):
         return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def _independent(V: np.ndarray, tol: float) -> list:
+def _independent(V: np.ndarray) -> list:
     """Columns of V kept in order while each adds a component of squared norm
-    > tol orthogonal to those kept before it (the test the dual loop applies
-    to a row it adds, z . n > tol)."""
+    > _TOL orthogonal to those kept before it (the test the dual loop applies
+    to a row it adds, z . n > _TOL)."""
     keep = list(range(V.shape[1]))
     while keep:
         r = np.abs(np.diag(np.linalg.qr(V[:, keep], mode="r")))
-        weak = np.flatnonzero(r * r <= tol)
+        weak = np.flatnonzero(r * r <= _TOL)
         if weak.size:
             del keep[weak[0]]
         else:
@@ -86,8 +89,7 @@ def _independent(V: np.ndarray, tol: float) -> list:
 
 
 def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
-             tol: float = 1e-9, max_iter: Optional[int] = None,
-             reg: float = 1e-9, active: Iterable[int] = (),
+             max_iter: Optional[int] = None, active: Iterable[int] = (),
              factor: Optional[np.ndarray] = None) -> QpSolution:
     H = np.asarray(H, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -100,7 +102,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     if max_iter is None:
         max_iter = 50 * (n + m_in + m_eq + 10)
 
-    J, Hf = _factor(H, reg) if factor is None else (factor, H)
+    J, Hf = _factor(H) if factor is None else (factor, H)
     x = -(J.T @ (J @ f))
 
     # Working set in ">=" form n . x >= d: equality j as (A_eq[j], b_eq[j]),
@@ -112,7 +114,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     N_buf = np.empty((n, n))
     W_buf = np.empty((n, n))
     m_act = 0
-    row_tol = tol * (1.0 + np.abs(b_in))
+    row_tol = _TOL * (1.0 + np.abs(b_in))
     iters = 0
 
     def result(status):
@@ -135,7 +137,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
         ins = [i - m_eq for i in rows if i >= m_eq]
         N = np.hstack([A_e[eqs].T, -A_in[ins].T])
         d = np.concatenate([b_e[eqs], -b_in[ins]])
-        sel = _independent(J @ N, tol)
+        sel = _independent(J @ N)
         rows, N, d = [rows[j] for j in sel], N[:, sel], d[sel]
         while True:
             # KKT system [[H, N], [N', 0]] [x; -u] = [-f; d], solved directly:
@@ -163,7 +165,7 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
         start(list(range(m_eq)) + guess)
         # An equality skipped as dependent keeps its value from here on,
         # since the equalities it depends on are never dropped.
-        if np.any(np.abs(A_e @ x - b_e) > tol * (1.0 + np.abs(b_e))):
+        if np.any(np.abs(A_e @ x - b_e) > _TOL * (1.0 + np.abs(b_e))):
             return result("infeasible")
 
     def pick_violated():
@@ -205,13 +207,13 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
             # Dual blocking step (only droppable, i.e. inequality, constraints).
             t1, blk = np.inf, -1
             for j, (idx, uj, rj) in enumerate(zip(act_idx, act_u, r)):
-                if idx >= m_eq and rj > tol:
+                if idx >= m_eq and rj > _TOL:
                     tj = uj / rj
                     if tj < t1:
                         t1, blk = tj, j
             ztn = float(z @ n_p)
             slack = d_p - float(n_p @ x)
-            t2 = slack / ztn if ztn > tol else np.inf
+            t2 = slack / ztn if ztn > _TOL else np.inf
 
             if not np.isfinite(t1) and not np.isfinite(t2):
                 return result("infeasible")

@@ -115,6 +115,21 @@ class ScenarioConfig:
         if self.sqp_max_iter < 1 or self.sqp_max_halvings < 0:
             raise ConfigError("solver.sqp_max_iter must be >= 1 and "
                               "solver.sqp_max_halvings >= 0")
+        # a semi-axis <= 0 divides by zero or flips the keep-outs, a step
+        # limit <= 0 freezes or reverses each SQP step, and a penalty <= 0
+        # leaves the fallback's slacks free
+        for key in ("avoidance.ellipse_a", "avoidance.ellipse_b", "avoidance.robust_ellipse_a",
+                    "avoidance.robust_ellipse_b", "solver.sqp_pos_step_limit",
+                    "solver.soft_penalty"):
+            if not getattr(self, key.split(".")[1]) > 0:
+                raise ConfigError(f"{key} must be positive")
+        for name, n in (("q_diag", 4), ("r_diag", 2), ("qc_diag", 2), ("rc_diag", 2)):
+            try:
+                ok = np.asarray(getattr(self, name), dtype=float).shape == (n,)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"cost.{name} must be {n} floats")
 
     # -- horizon helpers ---------------------------------------------------
     @property

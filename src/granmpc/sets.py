@@ -4,17 +4,18 @@ Constraint sets are kept in H-representation (HPolytope); disturbance
 propagation sets are zonotopes, which are closed under linear maps and
 Minkowski sums. The Pontryagin difference of an H-polytope minus a zonotope
 is exact via support-function offset tightening, so no general polytope
-Minkowski sums are ever needed. Every polytope the program checks is an axis
-box, so its emptiness and inscribed radius come in closed form from per-axis
-bounds; the LPs left (a polytope's support, a zonotope's membership) serve
-tests and input checks only.
+Minkowski sums are ever needed. Every polytope is an axis box, so its
+emptiness and inscribed radius come in closed form from per-axis bounds, and
+no operation needs an LP: the module uses numpy alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+_MAX_POWER = 500   # powers of Phi mrpi_outer tries before it gives up
 
 
 class SetError(ValueError):
@@ -38,7 +39,6 @@ class HPolytope:
 
     normals: np.ndarray
     offsets: np.ndarray
-    check_nonempty: bool = True
 
     def __post_init__(self):
         A = _as_matrix(self.normals)
@@ -51,7 +51,7 @@ class HPolytope:
             raise ValueError("zero normal row")
         object.__setattr__(self, "normals", A)
         object.__setattr__(self, "offsets", b)
-        if self.check_nonempty and self.chebyshev_radius() < 0.0:
+        if self.chebyshev_radius() < 0.0:
             raise EmptySetError("polytope is empty")
 
     @property
@@ -62,9 +62,6 @@ class HPolytope:
         """Radius of the largest inscribed ball: half the narrowest axis
         width, negative when empty, inf when no axis is closed on both sides."""
         return float(np.min(_box_widths(self.normals, self.offsets)[0], initial=np.inf)) / 2.0
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return bool(np.all(self.normals @ np.asarray(x, dtype=float) <= self.offsets + tol))
 
     def to_json(self) -> dict:
         return {"type": "hpolytope", "normals": self.normals.tolist(), "offsets": self.offsets.tolist()}
@@ -90,14 +87,11 @@ class Zonotope:
     """Set {center + G beta : |beta_i| <= 1}, generators as columns of G."""
 
     center: np.ndarray
-    generators: np.ndarray = field(default=None)
+    generators: np.ndarray
 
     def __post_init__(self):
         c = np.atleast_1d(np.array(self.center, dtype=float))
-        G = self.generators
-        if G is None:
-            G = np.zeros((c.shape[0], 0))
-        G = _as_matrix(G)
+        G = _as_matrix(self.generators)
         if G.shape[0] != c.shape[0]:
             raise ValueError("center/generator dimension mismatch")
         if not np.all(np.isfinite(c)) or not np.all(np.isfinite(G)):
@@ -123,41 +117,16 @@ class Zonotope:
         """Per-axis half-widths of the tightest enclosing axis box (about center)."""
         return np.sum(np.abs(self.generators), axis=1)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        """Membership via LP: x = c + G beta with |beta| <= 1."""
-        from scipy.optimize import linprog
-        r = np.asarray(x, dtype=float) - self.center
-        G = self.generators
-        if G.shape[1] == 0:
-            return bool(np.max(np.abs(r), initial=0.0) <= tol)
-        res = linprog(
-            np.zeros(G.shape[1]),
-            A_eq=G,
-            b_eq=r,
-            bounds=[(-1.0 - tol, 1.0 + tol)] * G.shape[1],
-        )
-        return bool(res.success)
-
     def to_json(self) -> dict:
         return {"type": "zonotope", "center": self.center.tolist(), "generators": self.generators.tolist()}
 
 
-def support(s, direction) -> float:
-    """Support function max_{x in s} d.x for a Zonotope or HPolytope."""
+def support(z: Zonotope, direction) -> float:
+    """Support function max_{x in z} d.x of a zonotope."""
     d = np.atleast_1d(np.array(direction, dtype=float))
     if not np.all(np.isfinite(d)) or np.linalg.norm(d) == 0.0:
         raise ValueError("direction must be finite and nonzero")
-    if isinstance(s, Zonotope):
-        return float(s.center @ d + np.sum(np.abs(s.generators.T @ d)))
-    if isinstance(s, HPolytope):
-        from scipy.optimize import linprog
-        res = linprog(-d, A_ub=s.normals, b_ub=s.offsets, bounds=[(None, None)] * s.dim)
-        if res.status == 3:
-            raise SetError(f"polytope unbounded in direction {d.tolist()}")
-        if not res.success:
-            raise SetError(f"support LP failed: {res.message}")
-        return float(-res.fun)
-    raise TypeError(f"unsupported set type {type(s)!r}")
+    return float(z.center @ d + np.sum(np.abs(z.generators.T @ d)))
 
 
 def minkowski_sum(a: Zonotope, b: Zonotope) -> Zonotope:
@@ -225,7 +194,7 @@ def _box_facet_data(d: Zonotope) -> np.ndarray:
     return w
 
 
-def mrpi_outer(Phi, D: Zonotope, eps: float = 1e-3, max_power: int = 500):
+def mrpi_outer(Phi, D: Zonotope, eps: float = 1e-3):
     """Outer approximation of the minimal disturbance-invariant set.
 
     Finds the smallest s with Phi^s D inside alpha*D for
@@ -246,7 +215,7 @@ def mrpi_outer(Phi, D: Zonotope, eps: float = 1e-3, max_power: int = 500):
     target = eps / (1.0 + eps)
     gens = []
     M = np.eye(Phi.shape[0])
-    for s in range(1, max_power + 1):
+    for s in range(1, _MAX_POWER + 1):
         gens.append(M @ D.generators)
         M = Phi @ M
         # alpha(s): smallest scaling with Phi^s D inside alpha*D, via box facets
@@ -255,4 +224,4 @@ def mrpi_outer(Phi, D: Zonotope, eps: float = 1e-3, max_power: int = 500):
         if alpha <= target:
             G = np.hstack(gens) / (1.0 - alpha)
             return reduce_generators(Zonotope(np.zeros(Phi.shape[0]), G)), alpha, s
-    raise SetError(f"mrpi_outer did not terminate within {max_power} powers")
+    raise SetError(f"mrpi_outer did not terminate within {_MAX_POWER} powers")

@@ -120,13 +120,11 @@ def _sample_disturbance(rng, half_widths, kind: str) -> np.ndarray:
 
 def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
                     setup: Optional[ocp.MethodSetup] = None,
-                    settings: Optional[ocp.SqpSettings] = None,
                     trace: Optional[list] = None) -> RunRecord:
     """Receding-horizon episode; deterministic for fixed (config, method, seed)."""
     if setup is None:
         setup = ocp.MethodSetup.build(cfg, method)
-    if settings is None:
-        settings = ocp.SqpSettings.from_config(cfg)
+    settings = ocp.SqpSettings.from_config(cfg)
     ss = np.random.SeedSequence(seed)
     plant_rng, obs_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
 

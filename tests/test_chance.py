@@ -86,7 +86,7 @@ def test_propagate_covariance_matches_naive_loop():
     sw = np.diag([0.04, 0.09])
     s0 = np.diag([0.01, 0.02])
     sched = propagate_covariance(phi, gmat, sw, s0, 12)
-    assert len(sched) == 13
+    assert len(sched.sigmas) == 13
     expected = s0.copy()
     for k in range(13):
         assert np.allclose(sched[k], expected, atol=1e-13)
@@ -142,10 +142,9 @@ def _keepout(cfg, setup, label, k):
     one = ocp.Keepouts.stack([desc], np.concatenate([ko.S[j:j + 1], ko.x[j:j + 1]], axis=2),
                              setup.n_y)
     start = np.array([cfg.start[0], 0.0, cfg.start[1], 0.0])
-    prob = ocp.assemble(dataclasses.replace(setup, keepouts=one), start,
+    prob = ocp.assemble(dataclasses.replace(setup, keepouts=one, a_eq=None, eq_x=None), start,
                         sc.DynamicObstacle.from_config(cfg))
-    prob = dataclasses.replace(prob, a_static=np.zeros((0, prob.n_y)),
-                               b_static=np.zeros(0), a_eq=None, b_eq=None)
+    prob = dataclasses.replace(prob, a_static=np.zeros((0, prob.n_y)), b_static=np.zeros(0))
     offsets, centers = prob.nonlinear
     return prob, SimpleNamespace(desc=desc, S=ko.S[j], s=offsets[0],
                                  center=centers[0] if len(centers) else None)
@@ -223,7 +222,7 @@ def test_deterministic_residual_sign(cfg, setup_granular):
 
 def test_covariance_schedule_indexing():
     sched = CovarianceSchedule([np.eye(2), 2 * np.eye(2)], np.eye(2), np.eye(2))
-    assert len(sched) == 2
+    assert len(sched.sigmas) == 2
     assert np.allclose(sched[1], 2 * np.eye(2))
     d = sched.to_json()
     assert len(d["sigmas"]) == 2
@@ -329,12 +328,12 @@ def test_batched_keepouts_match_per_item_reference(setup_granular, case):
     descs, S, s, centers, y = case
     n_y = len(y)
     maps = np.concatenate([S, np.zeros((len(S), 2, 4))], axis=2)
-    setup = dataclasses.replace(setup_granular, n_y=n_y,
+    setup = dataclasses.replace(setup_granular, n_y=n_y, a_eq=None,
                                 keepouts=ocp.Keepouts.stack(descs, maps, n_y))
     base = ocp.assemble(setup_granular, np.zeros(4))
-    prob = dataclasses.replace(base, setup=setup, n_y=n_y,
+    prob = dataclasses.replace(base, setup=setup,
                                a_static=np.zeros((0, n_y)), b_static=np.zeros(0),
-                               a_eq=None, b_eq=None, nonlinear=ocp.KeepoutTerms(s, centers))
+                               b_eq=None, nonlinear=ocp.KeepoutTerms(s, centers))
     worst, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
     ref_worst, ref_a, ref_b = _reference_keepouts(descs, S, s, centers, y)
     assert a_nl.shape == ref_a.shape and b_nl.shape == ref_b.shape

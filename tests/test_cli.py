@@ -26,7 +26,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for argv in (["run", "--runs", "0"], ["montecarlo", "--runs", "0"],
                  ["compare", "--runs", "0"], ["run", "--set", "bogus.key=1"],
                  ["run", "--set", "novalue"], ["run", "--set", "solver.sqp_max_iter=0"],
-                 ["run", "--set", "solver.sqp_max_halvings=-1"]):
+                 ["run", "--set", "solver.sqp_max_halvings=-1"],
+                 ["run", "--set", "avoidance.ellipse_a=0"],
+                 ["run", "--set", "avoidance.ellipse_b=-1"],
+                 ["run", "--set", "avoidance.robust_ellipse_b=0"],
+                 ["run", "--set", "solver.soft_penalty=0"],
+                 ["run", "--set", "solver.sqp_pos_step_limit=0"],
+                 ["run", "--set", "cost.q_diag=[1,1]"],
+                 ["run", "--set", "cost.rc_diag=[1,1,1]"]):
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
@@ -125,8 +132,8 @@ def test_compare_report(tmp_path):
 
 
 def test_run_path_imports_no_scipy():
-    # scipy serves tests and input checks only; importing it costs about a
-    # third of a second of CPU at every start
+    # scipy is a test-only dependency (see test_imports.py); importing it
+    # would cost about a third of a second of CPU at every start
     code = """
 import sys
 from granmpc import cli, ocp, scenario as sc, simulate

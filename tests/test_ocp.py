@@ -100,7 +100,7 @@ def test_problem_built_once_serves_every_state(cfg, method, request):
         for _ in range(3):
             y = rng.normal(size=prob.n_y)
             xbar, ubar, zeta, vbar = prob.trajectories(y)
-            assert np.allclose(xbar[0], x0 - y[:prob.n_beta], atol=1e-12)
+            assert np.allclose(xbar[0], x0 - y[:4], atol=1e-12)
             assert np.allclose(xbar[1:], xbar[:-1] @ A.T + ubar @ B.T, atol=1e-9)
             pos = xbar[:, [0, 2]]
             if method == "granular":
@@ -117,7 +117,7 @@ def test_problem_built_once_serves_every_state(cfg, method, request):
     # cost carries over (the membership rows bound the initial error itself)
     y = rng.normal(size=first.n_y)
     y_b = y.copy()
-    y_b[:first.n_beta] += x_b - x_a
+    y_b[:4] += x_b - x_a
     stage = np.array(setup.static_labels) != "tube_membership"
     assert np.allclose((first.a_static @ y - first.b_static)[stage],
                        (second.a_static @ y_b - second.b_static)[stage], atol=1e-9)
@@ -334,7 +334,7 @@ def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
     sol = ocp.solve_sqp(ocp.assemble(setup, _start_state(flat), _obstacle(flat)))
     prob = ocp.assemble(setup, np.array([0.1, 0.2, 0.0, 0.0]), _obstacle(flat))
     y = ocp.shift_warm_start(prob, sol)
-    assert np.array_equal(y[:prob.n_beta], prob.x0 - sol.xbar[0])
+    assert np.array_equal(y[:4], prob.x0 - sol.xbar[0])
 
 
 def test_planned_positions_cover_full_horizon(cfg, setup_granular):

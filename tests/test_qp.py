@@ -149,14 +149,16 @@ def test_iteration_limit_status():
 
 
 def test_near_singular_hessian_regularized():
-    # rank-deficient H is lifted by the ridge term and still solves
+    # rank-deficient H is lifted by the ridge term and still solves, at the
+    # optimum x = (-1, 1) where both rows x1 <= 1 and -x0 <= 1 hold
     H = np.array([[1.0, 1.0], [1.0, 1.0]])
     f = np.array([1.0, -2.0])
     A = np.vstack([np.eye(2), -np.eye(2)])
     b = np.ones(4)
-    sol = qp_solve(H, f, A, b, reg=1e-8)
+    sol = qp_solve(H, f, A, b)
     assert sol.status == "optimal"
     assert np.all(A @ sol.x <= b + 1e-8)
+    assert np.allclose(sol.x, [-1.0, 1.0], atol=1e-8)
 
 
 def test_far_row_does_not_loosen_tight_row():

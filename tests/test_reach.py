@@ -5,6 +5,11 @@ A reference is a read of the name or of an attribute of that name, or an
 import of it, outside the definition itself; so a method counts as reached
 when any attribute of its name is read. Special methods are left out, since
 Python calls them.
+
+Names are matched bare, so same-named methods hide each other: a read of
+``Zonotope.contains`` once counted for the test-only ``HPolytope.contains``.
+Nor does the guard see a branch taken only for some argument types or a
+parameter only tests set; those still need a trace of the running program.
 """
 
 import ast

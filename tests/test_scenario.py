@@ -38,7 +38,8 @@ def configs(draw):
         k_gain=draw(st.tuples(_floats(4), _floats(4))),
         sigma_w_diag=draw(st.tuples(*[st.floats(min_value=0.0, allow_infinity=False)] * 2)),
         risk=draw(st.floats(min_value=0.5, max_value=1.0, exclude_max=True)),
-        ns=ns, nl=nl, tube_eps=draw(FLOATS), soft_penalty=draw(FLOATS))
+        ns=ns, nl=nl, tube_eps=draw(FLOATS),
+        soft_penalty=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
 
 
 def _cli_text(value) -> str:
@@ -118,6 +119,18 @@ def test_config_validation():
     for bad in (0.1, (0.1, 0.1, 0.1)):
         with pytest.raises(sc.ConfigError, match="sigma_w_diag"):
             sc.ScenarioConfig(sigma_w_diag=bad)
+    # a semi-axis, step limit or penalty <= 0 would reach the solver as a
+    # division by zero, a frozen step or free slacks
+    for field in ("ellipse_a", "ellipse_b", "robust_ellipse_a", "robust_ellipse_b",
+                  "sqp_pos_step_limit", "soft_penalty"):
+        for bad in (0.0, -1.0, float("nan")):
+            with pytest.raises(sc.ConfigError, match=f"\\.{field} must be positive"):
+                sc.ScenarioConfig(**{field: bad})
+        assert getattr(sc.ScenarioConfig(**{field: 1e-9}), field) == 1e-9
+    for field, n in (("q_diag", 4), ("r_diag", 2), ("qc_diag", 2), ("rc_diag", 2)):
+        for bad in ((1.0,) * (n - 1), (1.0,) * (n + 1), 1.0, ("a",) * n, ((1.0,) * n,)):
+            with pytest.raises(sc.ConfigError, match=f"cost.{field} must be {n} floats"):
+                sc.ScenarioConfig(**{field: bad})
 
 
 def test_disturbance_modes(cfg):
@@ -152,12 +165,15 @@ def test_obstacle_advance_applies_noise(cfg):
 def test_state_and_input_sets(cfg):
     X = sc.state_set(cfg)
     assert X.normals.shape == (6, 4)
-    assert X.contains([100.0, 0.0, 2.5, 0.0])        # p_x unconstrained
-    assert not X.contains([0.0, 0.0, 2.6, 0.0])      # lane
-    assert not X.contains([0.0, 3.1, 0.0, 0.0])      # velocity
+
+    def contains(P, x):
+        return bool(np.all(P.normals @ x <= P.offsets))
+    assert contains(X, [100.0, 0.0, 2.5, 0.0])        # p_x unconstrained
+    assert not contains(X, [0.0, 0.0, 2.6, 0.0])      # lane
+    assert not contains(X, [0.0, 3.1, 0.0, 0.0])      # velocity
     U = sc.input_set(cfg)
-    assert U.contains([3.0, -3.0])
-    assert not U.contains([3.1, 0.0])
+    assert contains(U, [3.0, -3.0])
+    assert not contains(U, [3.1, 0.0])
     # checked for emptiness although unbounded in p_x
     with pytest.raises(EmptySetError):
         sc.state_set(cfg.with_overrides({"world.lane_low": "3.0"}))
