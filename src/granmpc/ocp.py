@@ -26,6 +26,7 @@ wrong guess costs QP iterations, never the QP's result.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -43,6 +44,10 @@ METHODS = ("granular", "single-rsmpc", "single-rmpc")
 _EDGE_BUFFER = 0.25   # x-extent widening for conditional box-edge activation
 _TAIL_TOL = 1e-7      # a membership direction must decay below this 1-norm
 _MAX_POWERS = 200     # within this many powers of Phi'
+_PRUNE_TOL = 1e-9     # a dropped membership row exceeds its offset by at most this
+_SINGULAR_DET = 1e-10 # unit rows whose |det| is below this define no vertex
+_BOX_SCALE = 1e3      # the pruning's bounding box, in multiples of Z's extent
+_MAX_VERTICES = 2000  # beyond this many vertices the pruning stops early
 
 
 class OcpError(RuntimeError):
@@ -70,8 +75,9 @@ class SqpSettings:
 def membership_rows(tube: TubeSpec, state_normals, K):
     """Half-space description of the initial-error freedom x0 - xbar0.
 
-    Rows are (Phi^T)^k a <= h_Z((Phi^T)^k a) for every constraint normal a
-    (state box rows and the feedback-gain rows). Membership implies, via the
+    The polytope is the intersection of (Phi^T)^k a <= h_Z((Phi^T)^k a) for
+    every constraint normal a (the state box rows, then each feedback-gain
+    row and its negative) and every power k. Membership implies, via the
     invariance of Z, that every prediction step's error stays within the Z
     supports in the constraint directions, so the tube tightening remains
     valid even though the set of admissible initial errors is an outer
@@ -82,26 +88,102 @@ def membership_rows(tube: TubeSpec, state_normals, K):
     a closed-loop shift every row of the new error follows from the next
     power at the old one, and the last (untelescoped) row is bounded by its
     vanishing norm. So a shifted plan meets these rows again; that says
-    nothing of its other rows, which it does break (ROADMAP item 2). A
+    nothing of its other rows, which it does break (ROADMAP item 3). A
     direction still above _TAIL_TOL after _MAX_POWERS powers raises OcpError.
+
+    Only the rows that bound the set are returned (``_irredundant``; past its
+    vertex budget, every row it has not shown redundant), in the order
+    above: every dropped row holds, to _PRUNE_TOL, at each vertex of the
+    kept rows' polytope, so the two describe the same set and the
+    invariance argument, which is about the set, still holds. Each row is
+    scaled to unit norm, which leaves the set alone but keeps the tail
+    powers (norms down to _TAIL_TOL) above the QP's absolute tolerances.
     """
-    dirs = [np.asarray(a, dtype=float) for a in state_normals]
-    for row in np.asarray(K, dtype=float):
-        dirs.append(row.copy())
-        dirs.append(-row)
-    rows, offsets = [], []
-    for a in dirs:
-        d = a
-        for _ in range(_MAX_POWERS):
-            rows.append(d)
-            offsets.append(support(tube.Z, d))
-            d = tube.Phi.T @ d
-            if float(np.abs(d).sum()) < _TAIL_TOL:
-                break
-        else:
-            raise OcpError(f"membership direction {a.tolist()} keeps 1-norm "
-                           f"{np.abs(d).sum():.2e} after {_MAX_POWERS} powers of Phi'")
-    return np.array(rows), np.array(offsets)
+    K = np.asarray(K, dtype=float)
+    base = np.vstack([np.asarray(state_normals, dtype=float),
+                      np.stack([K, -K], axis=1).reshape(-1, K.shape[1])])
+    powers, d = [base], base
+    count = np.zeros(len(base), dtype=int)     # powers each direction keeps
+    alive = np.ones(len(base), dtype=bool)
+    for _ in range(_MAX_POWERS):
+        count += alive
+        d = d @ tube.Phi                       # each row a -> Phi^T a
+        alive &= np.abs(d).sum(axis=1) >= _TAIL_TOL
+        if not alive.any():
+            break
+        powers.append(d)
+    else:
+        j = int(np.argmax(alive))
+        raise OcpError(f"membership direction {base[j].tolist()} keeps 1-norm "
+                       f"{np.abs(d[j]).sum():.2e} after {_MAX_POWERS} powers of Phi'")
+    taken = np.arange(len(powers))[None, :] < count[:, None]
+    rows = np.stack(powers, axis=1)[taken]     # direction by direction
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    offsets = support(tube.Z, rows)
+    first = np.cumsum(count) - count           # each direction's power-0 row
+    keep = _irredundant(rows, offsets, first, tube.Z)
+    return rows[keep], offsets[keep]
+
+
+def _irredundant(A, b, start, Z) -> np.ndarray:
+    """Sorted indices of the rows of A x <= b that bound the set.
+
+    Incremental vertex enumeration in the spirit of Clarkson's output-
+    sensitive redundancy removal (FOCS 1994), with vertices in place of LPs
+    because the dimension is small: begin with the corners of a box far
+    outside Z, add the rows ``start`` that cut it, then repeatedly add the
+    row that most exceeds its offset at some vertex, until no row exceeds
+    its offset by more than _PRUNE_TOL at any vertex. An added row forms new
+    vertices only on itself. Rows are unit norm, so a small |det| marks a
+    vertex that is not well defined. Raises OcpError if a final vertex lies
+    on the box (the rows leave the set unbounded).
+
+    A row that holds at every vertex of an intermediate polytope, which
+    contains the final one, is redundant. So past _MAX_VERTICES vertices
+    (polytopes with hundreds of facets, from weakly damped gains) the
+    enumeration stops and keeps every row not yet shown redundant, which
+    bounds its time and memory.
+    """
+    n = A.shape[1]
+    half = _BOX_SCALE * (np.abs(Z.center).max() + Z.interval_hull().max())
+    A = np.vstack([A, np.eye(n), -np.eye(n)])
+    b = np.concatenate([b, np.full(2 * n, half)])
+    box = range(len(A) - 2 * n, len(A))
+    kept = list(box)
+    corners = half * np.array(list(itertools.product((-1.0, 1.0), repeat=n)))
+    E = corners @ A.T - b                      # each vertex's excess on each row
+
+    def add(r):
+        # A new vertex lies where row r cuts an edge, and the n - 1 rows that
+        # define that edge are active at its cut-off end.
+        nonlocal E
+        cut = E[:, r] > _PRUNE_TOL
+        active = E[cut][:, kept] >= -_PRUNE_TOL
+        subsets = list({(r,) + c for row in active
+                        for c in itertools.combinations(np.array(kept)[row], n - 1)})
+        kept.append(r)
+        M = A[subsets]
+        ok = np.abs(np.linalg.det(M)) > _SINGULAR_DET
+        F = np.linalg.solve(M[ok], b[subsets][ok][..., None])[..., 0] @ A.T - b
+        E = np.vstack([E[~cut], F[np.all(F[:, kept] <= _PRUNE_TOL, axis=1)]])
+
+    for r in start:
+        if E[:, r].max() > _PRUNE_TOL:
+            add(r)
+    while True:
+        excess = E.max(axis=0)
+        excess[kept] = -np.inf
+        r = int(np.argmax(excess))
+        if excess[r] <= _PRUNE_TOL:
+            if np.any(E[:, box] >= -_PRUNE_TOL):
+                raise OcpError("the membership rows do not bound the initial error")
+            break
+        if len(E) > _MAX_VERTICES:
+            break
+        add(r)
+    keep = excess > _PRUNE_TOL
+    keep[kept] = True
+    return np.flatnonzero(keep[:-2 * n])
 
 
 def _frozen(a) -> np.ndarray:
@@ -584,7 +666,7 @@ def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
     return qp_solve(H, f, A, b, a_eq, b_eq, active=active, factor=J)
 
 
-def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
+def solve_sqp(prob: OcpProblem, settings: SqpSettings,
               warm_start: Optional[OcpSolution] = None,
               trace: Optional[list] = None) -> OcpSolution:
     """SQP over the keep-out linearizations from the warm or the cold start.
@@ -595,8 +677,6 @@ def solve_sqp(prob: OcpProblem, settings: Optional[SqpSettings] = None,
     point's result gives the next QP's keep-out rows, the line search's
     reference, the best-iterate and stall tests, the trace row and the status.
     """
-    if settings is None:
-        settings = SqpSettings.from_config(prob.setup.cfg)
     t_start = time.perf_counter()
     # QP working set carried from each QP to the next (see the module docstring)
     if warm_start is not None:

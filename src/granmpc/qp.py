@@ -213,7 +213,10 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
                         t1, blk = tj, j
             ztn = float(z @ n_p)
             slack = d_p - float(n_p @ x)
-            t2 = slack / ztn if ztn > _TOL else np.inf
+            # With n rows in the working set z is zero in exact arithmetic, so
+            # the step is dual-only (Goldfarb & Idnani's z = 0 case), and a
+            # rounding-sized z must not add a row beyond the buffers.
+            t2 = slack / ztn if m_act < n and ztn > _TOL else np.inf
 
             if not np.isfinite(t1) and not np.isfinite(t2):
                 return result("infeasible")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_POWER = 500   # powers of Phi mrpi_outer tries before it gives up
+_MAX_GENERATORS = 512  # generators reduce_generators leaves a zonotope with
 
 
 class SetError(ValueError):
@@ -121,12 +122,14 @@ class Zonotope:
         return {"type": "zonotope", "center": self.center.tolist(), "generators": self.generators.tolist()}
 
 
-def support(z: Zonotope, direction) -> float:
-    """Support function max_{x in z} d.x of a zonotope."""
+def support(z: Zonotope, direction):
+    """Support function max_{x in z} d.x of a zonotope: a float for one
+    direction d, an array with one value per row for a matrix of directions."""
     d = np.atleast_1d(np.array(direction, dtype=float))
-    if not np.all(np.isfinite(d)) or np.linalg.norm(d) == 0.0:
+    if not np.all(np.isfinite(d)) or np.any(np.linalg.norm(d, axis=-1) == 0.0):
         raise ValueError("direction must be finite and nonzero")
-    return float(z.center @ d + np.sum(np.abs(z.generators.T @ d)))
+    h = z.center @ d.T + np.sum(np.abs(z.generators.T @ d.T), axis=0)
+    return float(h) if d.ndim == 1 else h
 
 
 def minkowski_sum(a: Zonotope, b: Zonotope) -> Zonotope:
@@ -163,16 +166,17 @@ def pontryagin_diff(p: HPolytope, z: Zonotope) -> HPolytope:
     return HPolytope(p.normals, tightened)
 
 
-def reduce_generators(z: Zonotope, max_generators: int = 512) -> Zonotope:
-    """Cap the generator count, merging the smallest-norm tail into an axis box.
+def reduce_generators(z: Zonotope) -> Zonotope:
+    """Cap the generator count at _MAX_GENERATORS, merging the smallest-norm
+    tail into an axis box.
 
     The result is an outer approximation of the input (support never shrinks).
     """
-    if z.n_generators <= max_generators:
+    if z.n_generators <= _MAX_GENERATORS:
         return z
     norms = np.linalg.norm(z.generators, axis=0)
     order = np.argsort(norms)[::-1]
-    n_keep = max(max_generators - z.dim, 0)
+    n_keep = max(_MAX_GENERATORS - z.dim, 0)
     keep = z.generators[:, order[:n_keep]]
     tail = z.generators[:, order[n_keep:]]
     box = np.diag(np.sum(np.abs(tail), axis=1))

@@ -161,7 +161,6 @@ def test_criterion_10_solver_oracles(cfg):
         prob = ocp.assemble(setup, x0, None)
         prob.a_static = np.zeros((0, prob.n_y))
         prob.b_static = np.zeros(0)
-        prob.static_labels = []
         prob.nonlinear = []
         settings = ocp.SqpSettings.from_config(cfg)
         settings.pos_step_limit = 1e12

@@ -2,14 +2,20 @@
 the tube membership encoding, SQP behavior, and control extraction."""
 
 import dataclasses
+import itertools
 from collections import Counter
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, strategies as st
+from scipy.optimize import linprog
 
 import granmpc.scenario as sc
 from granmpc import ocp, simulate
 from granmpc.models import step as model_step
+from granmpc.sets import EmptySetError, Zonotope, support
+from granmpc.tube import build_tube
 
 
 def _obstacle(cfg):
@@ -167,7 +173,7 @@ def _membership_rows(cfg, setup):
 def test_membership_rows_refuse_a_slow_tail(cfg, setup_granular):
     # with a weak error feedback the directions do not decay within the
     # power cap; truncating them would break the polytope's invariance
-    assert len(_membership_rows(cfg, setup_granular)[1]) == 820
+    assert len(_membership_rows(cfg, setup_granular)[1]) == 26
     slow = cfg.with_overrides({"robot.disturbance_bound": "0.01",
                                "robot.disturbance_pos_bound": "0.003",
                                "gains.k_gain": "[[0.1,0.8,0,0],[0,0,0.1,0.8]]"})
@@ -213,19 +219,94 @@ def test_membership_rows_cover_tube(cfg, setup_granular):
         assert np.max(A @ z - b) <= 1e-9
 
 
-def test_membership_rows_closed_under_dynamics(cfg, setup_granular):
-    # each row propagated once through Phi is again bounded by the tube
-    # support, so the encoded polytope tracks the error recursion
-    tube = setup_granular.tube
-    from granmpc.sets import support
+def _vertices(A, b):
+    """Vertices of {x : A x <= b}, from every set of n rows by brute force."""
+    idx = np.array(list(itertools.combinations(range(len(A)), A.shape[1])))
+    ok = np.abs(np.linalg.det(A[idx])) > 1e-12
+    V = np.linalg.solve(A[idx[ok]], b[idx[ok]][..., None])[..., 0]
+    return V[np.all(V @ A.T <= b + 1e-9, axis=1)]
+
+
+def test_membership_polytope_invariant_under_dynamics(cfg, setup_granular):
+    # the pruned polytope is mapped into itself by the error recursion
+    # e+ = Phi e + G w for every disturbance w: checked at each of its
+    # vertices and each vertex of the disturbance box
+    tube, model = setup_granular.tube, setup_granular.model
     A, b = _membership_rows(cfg, setup_granular)
-    for a, ub in zip(A, b):
-        assert ub == pytest.approx(support(tube.Z, a), abs=1e-12)
-        nxt = tube.Phi.T @ a
-        if np.abs(nxt).sum() >= 1e-7:
-            # the propagated direction must itself be one of the rows
-            gaps = np.max(np.abs(A - nxt[None, :]), axis=1)
-            assert np.min(gaps) <= 1e-12
+    assert np.allclose(b, support(tube.Z, A), rtol=0.0, atol=1e-12)
+    V = _vertices(A, b)
+    assert len(V) >= 5
+    W = np.array(list(itertools.product(*[(-h, h) for h in model.disturbance.interval_hull()])))
+    nxt = (V @ tube.Phi.T)[:, None, :] + (W @ model.G.T)[None, :, :]
+    assert np.max(nxt @ A.T - b) <= 1e-9
+
+
+def _unpruned_membership_rows(tube, state_normals, K):
+    """Every power row of ``membership_rows`` at unit norm, none dropped,
+    built direction by direction: the reference for its batched pass."""
+    rows = []
+    for a in [*state_normals, *(s * k for k in K for s in (1.0, -1.0))]:
+        d = a
+        while True:
+            rows.append(d / np.linalg.norm(d))
+            d = tube.Phi.T @ d
+            if np.abs(d).sum() < ocp._TAIL_TOL:
+                break
+    A = np.array(rows)
+    return A, np.array([support(tube.Z, a) for a in A])
+
+
+@hypothesis.settings(max_examples=4, deadline=None, derandomize=True)
+@example(w=0.1, wp=0.034, mode="velocity", kp=3.77, kv=4.67)    # the default config
+@given(w=st.floats(0.02, 0.2), wp=st.floats(0.005, 0.08),
+       mode=st.sampled_from(("velocity", "full")),
+       kp=st.floats(3.0, 5.0), kv=st.floats(4.0, 6.0))
+def test_membership_rows_describe_the_unpruned_set(cfg, w, wp, mode, kp, kv):
+    c = cfg.with_overrides({"robot.disturbance_bound": str(w),
+                            "robot.disturbance_pos_bound": str(wp),
+                            "robot.disturbance_mode": mode,
+                            "gains.k_gain": f"[[{kp},{kv},0,0],[0,0,{kp},{kv}]]"})
+    normals, K = sc.state_set(c).normals, sc.gain_pair(c).K
+    try:
+        tube = build_tube(sc.detailed_model(c), K, c.tube_eps, sc.state_set(c), sc.input_set(c))
+    except EmptySetError:
+        reject()
+    _assert_describes_the_unpruned_set(tube, normals, K)
+
+
+def test_membership_pruning_stopped_early_keeps_the_set(cfg, setup_granular, monkeypatch):
+    # past its vertex budget the pruning keeps every row not yet shown
+    # redundant: more rows than a full pruning, but still the same set
+    monkeypatch.setattr(ocp, "_MAX_VERTICES", 40)
+    tube, normals, K = setup_granular.tube, sc.state_set(cfg).normals, setup_granular.gains.K
+    assert len(_assert_describes_the_unpruned_set(tube, normals, K)[1]) > 26
+
+
+def test_irredundant_on_small_polygons():
+    # a unit square with a diagonal row that cuts a corner or misses it, and
+    # a strip left open along y, which puts vertices on the far box
+    square = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    A = np.vstack([square, [[np.sqrt(0.5), np.sqrt(0.5)]]])
+    Z = Zonotope.box([1.0, 1.0])
+    assert ocp._irredundant(A, np.array([1.0, 1.0, 1.0, 1.0, 2.0]), [0], Z).tolist() == [0, 1, 2, 3]
+    assert ocp._irredundant(A, np.ones(5), [0], Z).tolist() == [0, 1, 2, 3, 4]
+    with pytest.raises(ocp.OcpError, match="do not bound"):
+        ocp._irredundant(square[:2], np.ones(2), [0, 1], Z)
+
+
+def _assert_describes_the_unpruned_set(tube, normals, K):
+    """LP oracle: no unpruned row exceeds its offset over the returned
+    polytope, and every returned row is an unpruned row at unit norm, so
+    both describe one set. Returns the rows."""
+    A, b = ocp.membership_rows(tube, normals, K)
+    assert np.allclose(np.linalg.norm(A, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    A_all, b_all = _unpruned_membership_rows(tube, normals, K)
+    gap = np.abs(A[:, None, :] - A_all[None]).max(axis=2) + np.abs(b[:, None] - b_all[None])
+    assert np.max(np.min(gap, axis=1)) <= 1e-9
+    for a, ub in zip(A_all, b_all):
+        lp = linprog(-a, A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+        assert lp.status == 0 and -lp.fun <= ub + 1e-9
+    return A, b
 
 
 def test_solve_matches_batch_solution_without_inequalities(cfg):
@@ -266,7 +347,7 @@ def test_solution_is_feasible_at_start(cfg):
     for method in ("granular", "single-rsmpc", "single-rmpc"):
         setup = ocp.MethodSetup.build(cfg, method)
         prob = ocp.assemble(setup, _start_state(cfg), _obstacle(cfg))
-        sol = ocp.solve_sqp(prob)
+        sol = ocp.solve_sqp(prob, ocp.SqpSettings.from_config(cfg))
         assert sol.status == "converged"
         assert sol.violation <= 1e-6
         assert np.max(prob.a_static @ sol.y - prob.b_static) <= 1e-6
@@ -276,16 +357,17 @@ def test_warm_started_resolve_is_cheap(cfg):
     # after one disturbance-free plant step the shifted plan should already
     # satisfy the new problem, leaving only a couple of polish iterations,
     # and the carried QP active set should spare nearly all QP iterations
+    settings = ocp.SqpSettings.from_config(cfg)
     for method in ("granular", "single-rsmpc"):
         setup = ocp.MethodSetup.build(cfg, method)
         x = np.array([2.0, 1.0, 0.0, 0.0])
-        sol = ocp.solve_sqp(ocp.assemble(setup, x, None))
+        sol = ocp.solve_sqp(ocp.assemble(setup, x, None), settings)
         u = ocp.extract_control(sol, x, setup.gains.K)
         x1 = model_step(setup.model, x, u)
-        sol2 = ocp.solve_sqp(ocp.assemble(setup, x1, None), warm_start=sol)
+        sol2 = ocp.solve_sqp(ocp.assemble(setup, x1, None), settings, warm_start=sol)
         assert sol2.status == "converged"
         assert sol2.iterations <= 3
-        cold = ocp.solve_sqp(ocp.assemble(setup, x1, None))
+        cold = ocp.solve_sqp(ocp.assemble(setup, x1, None), settings)
         assert cold.status == "converged"
         assert 5 * sol2.qp_iterations <= cold.qp_iterations
         assert np.max(np.abs(sol2.y - cold.y)) <= 1e-6
@@ -294,7 +376,8 @@ def test_warm_started_resolve_is_cheap(cfg):
 def test_infeasible_initial_state_detected(cfg, setup_granular):
     # velocity far beyond the tightened bound plus tube radius
     bad = np.array([0.0, 10.0, 0.0, 0.0])
-    sol = ocp.solve_sqp(ocp.assemble(setup_granular, bad, _obstacle(cfg)))
+    sol = ocp.solve_sqp(ocp.assemble(setup_granular, bad, _obstacle(cfg)),
+                        ocp.SqpSettings.from_config(cfg))
     assert sol.status == "infeasible"
     with pytest.raises(ocp.OcpError):
         ocp.extract_control(sol, bad, setup_granular.gains.K)
@@ -302,7 +385,8 @@ def test_infeasible_initial_state_detected(cfg, setup_granular):
 
 def test_extract_control_identity(cfg, setup_granular):
     x0 = _start_state(cfg)
-    sol = ocp.solve_sqp(ocp.assemble(setup_granular, x0, _obstacle(cfg)))
+    sol = ocp.solve_sqp(ocp.assemble(setup_granular, x0, _obstacle(cfg)),
+                        ocp.SqpSettings.from_config(cfg))
     K = setup_granular.gains.K
     u = ocp.extract_control(sol, x0, K)
     assert np.allclose(u, K @ x0 + sol.nus[0], atol=1e-12)
@@ -316,13 +400,13 @@ def test_degenerate_horizon_without_coarse_stage(cfg):
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
     assert prob.n_y == 4 + 2 * short.ns
     assert prob.trajectories(np.zeros(prob.n_y))[2] is None
-    sol = ocp.solve_sqp(prob)
+    sol = ocp.solve_sqp(prob, ocp.SqpSettings.from_config(short))
     assert sol.status == "converged"
     # single-rsmpc without a chance stage is the robust problem over Ns steps
     setup = ocp.MethodSetup.build(short, "single-rsmpc")
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
     assert not {"chance_ellipse", "chance_velocity"} & set(_census(setup))
-    assert ocp.solve_sqp(prob).status == "converged"
+    assert ocp.solve_sqp(prob, ocp.SqpSettings.from_config(short)).status == "converged"
 
 
 def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
@@ -331,7 +415,8 @@ def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
     flat = cfg.with_overrides({"horizons.ns": "0"})
     setup = ocp.MethodSetup.build(flat, "granular")
     assert setup.n_nu == 0
-    sol = ocp.solve_sqp(ocp.assemble(setup, _start_state(flat), _obstacle(flat)))
+    sol = ocp.solve_sqp(ocp.assemble(setup, _start_state(flat), _obstacle(flat)),
+                        ocp.SqpSettings.from_config(flat))
     prob = ocp.assemble(setup, np.array([0.1, 0.2, 0.0, 0.0]), _obstacle(flat))
     y = ocp.shift_warm_start(prob, sol)
     assert np.array_equal(y[:4], prob.x0 - sol.xbar[0])
@@ -339,7 +424,7 @@ def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
 
 def test_planned_positions_cover_full_horizon(cfg, setup_granular):
     prob = ocp.assemble(setup_granular, _start_state(cfg), _obstacle(cfg))
-    sol = ocp.solve_sqp(prob)
+    sol = ocp.solve_sqp(prob, ocp.SqpSettings.from_config(cfg))
     positions = prob.positions(sol.y)
     assert positions.shape == (cfg.n_total + 1, 2)
     assert np.allclose(positions[:cfg.ns + 1], sol.xbar[:, [0, 2]])
@@ -347,8 +432,8 @@ def test_planned_positions_cover_full_horizon(cfg, setup_granular):
 
 def test_solution_trace_records_iterations(cfg, setup_granular):
     trace = []
-    sol = ocp.solve_sqp(ocp.assemble(setup_granular, _start_state(cfg),
-                                     _obstacle(cfg)), trace=trace)
+    sol = ocp.solve_sqp(ocp.assemble(setup_granular, _start_state(cfg), _obstacle(cfg)),
+                        ocp.SqpSettings.from_config(cfg), trace=trace)
     assert len(trace) == sol.iterations
     assert all("violation" in row and "objective" in row for row in trace)
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from granmpc.sets import (EmptySetError, HPolytope, SetError, Zonotope,
-                          linear_map, minkowski_sum, mrpi_outer,
+from granmpc.sets import (_MAX_GENERATORS, EmptySetError, HPolytope, SetError,
+                          Zonotope, linear_map, minkowski_sum, mrpi_outer,
                           pontryagin_diff, reduce_generators, support)
 
 
@@ -39,8 +39,11 @@ def test_zonotope_support_matches_vertex_enumeration():
         m = int(rng.integers(1, 7))
         z = Zonotope(rng.normal(size=dim), rng.normal(size=(dim, m)))
         verts = _zono_vertices(z)
-        for d in _random_directions(rng, dim, 8):
+        D = _random_directions(rng, dim, 8)
+        for d in D:
             assert support(z, d) == pytest.approx(np.max(verts @ d), abs=1e-10)
+        # a matrix of directions gives one support per row
+        assert np.allclose(support(z, D), np.max(verts @ D.T, axis=0), rtol=0.0, atol=1e-10)
 
 
 def test_unbounded_polytopes_are_nonempty():
@@ -105,9 +108,9 @@ def test_pontryagin_diff_empty_raises():
 
 def test_reduce_generators_outer_approximation():
     rng = np.random.default_rng(17)
-    z = Zonotope(np.zeros(3), rng.normal(size=(3, 40)))
-    r = reduce_generators(z, max_generators=10)
-    assert r.n_generators <= 10
+    z = Zonotope(np.zeros(3), rng.normal(size=(3, _MAX_GENERATORS + 30)))
+    r = reduce_generators(z)
+    assert r.n_generators <= _MAX_GENERATORS
     for d in _random_directions(rng, 3, 30):
         assert support(r, d) >= support(z, d) - 1e-12
 

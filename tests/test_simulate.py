@@ -79,6 +79,25 @@ def test_granular_run_passes_and_reaches(granular_run):
     assert granular_run.terminal_status == "reached"
 
 
+def test_granular_seed_2_passes_and_reaches(cfg, setup_granular):
+    # the pruned membership rows include tail powers of Phi'; held at unit
+    # norm, the QP's absolute tolerances judge them like every other row, and
+    # this episode reaches the target and passes as with the unpruned rows
+    record = run_closed_loop(cfg, "granular", 2, setup=setup_granular)
+    assert record.passed and record.reached
+    assert record.terminal_status == "reached"
+
+
+@pytest.mark.parametrize("seed", [54, 55, 78])
+def test_rmpc_runs_through_a_full_qp_working_set(cfg, setup_rmpc, seed):
+    # at step 14 of these episodes a QP's working set holds 44 rows, one per
+    # variable; there a rounding-sized step direction must not add a 45th row
+    # past the solver's buffers (an IndexError) but take a dual-only step
+    short = cfg.with_overrides({"world.max_steps": "15"})
+    record = run_closed_loop(short, "single-rmpc", seed, setup=setup_rmpc)
+    assert record.steps == 15
+
+
 def test_disturbances_are_common_across_methods(cfg, setup_granular, setup_rmpc,
                                                 granular_run):
     # common random numbers: the plant noise stream depends only on the seed
