@@ -54,24 +54,6 @@ class OcpError(RuntimeError):
     pass
 
 
-@dataclass
-class SqpSettings:
-    max_iter: int = 30
-    step_tol: float = 1e-6
-    violation_tol: float = 1e-6
-    max_halvings: int = 8
-    pos_step_limit: float = 0.5
-    soft_penalty: float = 1e6
-
-    @classmethod
-    def from_config(cls, cfg: sc.ScenarioConfig) -> "SqpSettings":
-        return cls(max_iter=cfg.sqp_max_iter, step_tol=cfg.sqp_step_tol,
-                   violation_tol=cfg.sqp_violation_tol,
-                   max_halvings=cfg.sqp_max_halvings,
-                   pos_step_limit=cfg.sqp_pos_step_limit,
-                   soft_penalty=cfg.soft_penalty)
-
-
 def membership_rows(tube: TubeSpec, state_normals, K):
     """Half-space description of the initial-error freedom x0 - xbar0.
 
@@ -666,10 +648,12 @@ def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
     return qp_solve(H, f, A, b, a_eq, b_eq, active=active, factor=J)
 
 
-def solve_sqp(prob: OcpProblem, settings: SqpSettings,
-              warm_start: Optional[OcpSolution] = None,
+def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
               trace: Optional[list] = None) -> OcpSolution:
     """SQP over the keep-out linearizations from the warm or the cold start.
+
+    The solver settings (``sqp_*`` and ``soft_penalty``) come from the
+    setup's config, ``prob.setup.cfg``.
 
     ``nonlinear_violation`` scores each point once: the start, each
     line-search trial (one that rounds back onto the current point reuses its
@@ -677,6 +661,7 @@ def solve_sqp(prob: OcpProblem, settings: SqpSettings,
     point's result gives the next QP's keep-out rows, the line search's
     reference, the best-iterate and stall tests, the trace row and the status.
     """
+    cfg = prob.setup.cfg
     t_start = time.perf_counter()
     # QP working set carried from each QP to the next (see the module docstring)
     if warm_start is not None:
@@ -689,25 +674,13 @@ def solve_sqp(prob: OcpProblem, settings: SqpSettings,
     stall = 0
     v_last = np.inf
     v, a_nl, b_nl = nonlinear_violation(prob, y)
-    # best iterate seen so far: feasible with lowest objective if any iterate
-    # is feasible, otherwise lowest true violation. Softened QPs drift toward
-    # the keep-outs (slack minimization rewards approaching them), so the
-    # final iterate is not automatically the one to execute.
-    best_y = y.copy()
-    best_v = v
-    best_obj = prob.objective(y)
+    # the best iterate so far (see the end) has the least key; a tie keeps
+    # the earlier point
+    def rank(point, violation):
+        return (0, prob.objective(point)) if violation <= cfg.sqp_violation_tol else (1, violation)
 
-    def _consider(cand, v):
-        nonlocal best_y, best_v, best_obj
-        obj = prob.objective(cand)
-        feasible = v <= settings.violation_tol
-        best_feasible = best_v <= settings.violation_tol
-        if feasible and (not best_feasible or obj < best_obj):
-            best_y, best_v, best_obj = cand.copy(), v, obj
-        elif not feasible and not best_feasible and v < best_v:
-            best_y, best_v, best_obj = cand.copy(), v, obj
-
-    for it in range(1, settings.max_iter + 1):
+    best_key, best_y, best_v = rank(y, v), y, v
+    for it in range(1, cfg.sqp_max_iter + 1):
         A = np.vstack([prob.a_static, a_nl])
         b = np.concatenate([prob.b_static, b_nl])
         sol = qp_solve(prob.H, prob.f, A, b, prob.a_eq, prob.b_eq, active=active,
@@ -715,7 +688,7 @@ def solve_sqp(prob: OcpProblem, settings: SqpSettings,
         qp_total += sol.iterations
         soft_used = sol.status != "optimal"
         if soft_used:
-            soft = _solve_soft(prob, a_nl, b_nl, settings.soft_penalty, active)
+            soft = _solve_soft(prob, a_nl, b_nl, cfg.soft_penalty, active)
             qp_total += soft.iterations
             if soft.status != "optimal":
                 if trace is not None:
@@ -737,24 +710,26 @@ def solve_sqp(prob: OcpProblem, settings: SqpSettings,
         # a keep-out in a single linearized step
         t = 1.0
         max_disp = float(np.max(np.abs(prob.positions(y + step) - prob.positions(y))))
-        if max_disp > settings.pos_step_limit:
-            t = settings.pos_step_limit / max_disp
+        if max_disp > cfg.sqp_pos_step_limit:
+            t = cfg.sqp_pos_step_limit / max_disp
         # line search: halve until the true violation does not grow; when
         # the halvings run out, the point one halving further is taken
-        v_ok = max(v, 0.0) + settings.violation_tol
-        for h in range(settings.max_halvings + 1):
+        v_ok = max(v, 0.0) + cfg.sqp_violation_tol
+        for h in range(cfg.sqp_max_halvings + 1):
             y_try = y + t * step
             ev = (v, a_nl, b_nl) if np.array_equal(y_try, y) else nonlinear_violation(prob, y_try)
-            if h == settings.max_halvings or ev[0] <= v_ok:
+            if h == cfg.sqp_max_halvings or ev[0] <= v_ok:
                 break
             t *= 0.5
         y, (v, a_nl, b_nl) = y_try, ev
-        _consider(y, v)
+        key = rank(y, v)
+        if key < best_key:
+            best_key, best_y, best_v = key, y, v
         if trace is not None:
             trace.append({"iter": it, "step_norm": step_norm, "damping": t,
                           "objective": prob.objective(y), "violation": v,
                           "qp_iterations": sol.iterations})
-        if step_norm * t < settings.step_tol:
+        if step_norm * t < cfg.sqp_step_tol:
             break
         # when the problem is genuinely infeasible the softened iterates can
         # cycle without reducing the true violation; stop paddling once no
@@ -764,13 +739,15 @@ def solve_sqp(prob: OcpProblem, settings: SqpSettings,
             v_last = min(v_last, v)
             if stall >= 2:
                 break
-    # execute the best iterate of the solve, not necessarily the last one:
-    # feasible with lowest objective when any iterate was feasible, otherwise
-    # lowest true violation. The start (the shifted previous plan) competes
-    # like any iterate; it is no feasible fallback (ROADMAP item 2)
-    if best_v > settings.violation_tol:
+    # execute the best iterate of the solve, not necessarily the last one,
+    # since softened QPs drift toward the keep-outs (slack minimization
+    # rewards approaching them): feasible with lowest objective when any
+    # iterate was feasible, otherwise lowest true violation. The start (the
+    # shifted previous plan) competes like any iterate; it is no feasible
+    # fallback (ROADMAP item 2)
+    if best_v > cfg.sqp_violation_tol:
         status = "violating"
-    elif it < settings.max_iter or step_norm * t < settings.step_tol:
+    elif it < cfg.sqp_max_iter or step_norm * t < cfg.sqp_step_tol:
         # at the cap the last step may still have been tiny
         status = "converged"
     else:

@@ -8,6 +8,7 @@ lane, past a dynamic obstacle and below a static box that narrows the road.
 from __future__ import annotations
 
 import io
+import numbers
 import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -96,6 +97,11 @@ class ScenarioConfig:
     soft_penalty: float = 1e6
 
     def __post_init__(self):
+        for section, keys in self._LAYOUT.items():
+            for key in keys:
+                default = getattr(ScenarioConfig, key)
+                if not _has_kind(getattr(self, key), default):
+                    raise ConfigError(f"{section}.{key} must be {_kind_name(default)}")
         if self.ns < 0 or self.nl < 0 or self.ns + self.nl == 0:
             raise ConfigError("horizons must be nonnegative and not both zero")
         if not 0.5 <= self.risk < 1.0:
@@ -108,8 +114,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown terminal_cost {self.terminal_cost!r}")
         if self.dt <= 0 or self.max_steps < 1:
             raise ConfigError("dt must be positive and max_steps >= 1")
-        sigma_w = np.asarray(self.sigma_w_diag, dtype=float)
-        if sigma_w.shape != (2,) or np.any(sigma_w < 0) or self.detailed_sigma_std < 0:
+        if np.any(np.asarray(self.sigma_w_diag) < 0) or self.detailed_sigma_std < 0:
             raise ConfigError("stochastic.sigma_w_diag must be two nonnegative floats and "
                               "stochastic.detailed_sigma_std nonnegative")
         if self.sqp_max_iter < 1 or self.sqp_max_halvings < 0:
@@ -123,13 +128,6 @@ class ScenarioConfig:
                     "solver.soft_penalty"):
             if not getattr(self, key.split(".")[1]) > 0:
                 raise ConfigError(f"{key} must be positive")
-        for name, n in (("q_diag", 4), ("r_diag", 2), ("qc_diag", 2), ("rc_diag", 2)):
-            try:
-                ok = np.asarray(getattr(self, name), dtype=float).shape == (n,)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ConfigError(f"cost.{name} must be {n} floats")
 
     # -- horizon helpers ---------------------------------------------------
     @property
@@ -198,6 +196,28 @@ class ScenarioConfig:
                 raise ConfigError(f"unknown config key {dotted!r}")
             data[parts[0]][parts[1]] = yaml.load(str(value), Loader=_Loader)
         return self.from_dict(data)
+
+
+def _has_kind(value, default) -> bool:
+    """Whether a config value has the kind of its field's default: a string
+    for a string, an integer for an int and a real number for a float (never
+    a bool), and for a tuple, such numbers in the default's nesting and
+    lengths."""
+    if isinstance(default, tuple):
+        return (isinstance(value, tuple) and len(value) == len(default)
+                and all(_has_kind(v, d) for v, d in zip(value, default)))
+    if isinstance(default, str):
+        return isinstance(value, str)
+    kind = numbers.Integral if isinstance(default, int) else numbers.Real
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _kind_name(default) -> str:
+    if isinstance(default, tuple):
+        return " x ".join(str(n) for n in np.shape(default)) + " floats"
+    if isinstance(default, str):
+        return "a string"
+    return "an integer" if isinstance(default, int) else "a number"
 
 
 def _tuplify(v):

@@ -124,7 +124,6 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
     """Receding-horizon episode; deterministic for fixed (config, method, seed)."""
     if setup is None:
         setup = ocp.MethodSetup.build(cfg, method)
-    settings = ocp.SqpSettings.from_config(cfg)
     ss = np.random.SeedSequence(seed)
     plant_rng, obs_rng = [np.random.default_rng(s) for s in ss.spawn(2)]
 
@@ -142,7 +141,7 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
     for k in range(cfg.max_steps):
         prob = ocp.assemble(setup, x, obstacle)
         step_trace = [] if trace is not None else None
-        sol = ocp.solve_sqp(prob, settings, warm_start=prev_sol, trace=step_trace)
+        sol = ocp.solve_sqp(prob, warm_start=prev_sol, trace=step_trace)
         if trace is not None:
             trace.append({"k": k, "sqp": step_trace})
         infeasible = sol.status == "infeasible"

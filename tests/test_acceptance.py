@@ -155,16 +155,15 @@ def test_criterion_10_solver_oracles(cfg):
 
     # part 2: SQP against the closed-form batch solution, inequalities removed
     worst_sqp = 0.0
+    free = cfg.with_overrides({"solver.sqp_pos_step_limit": "1e12"})
     for method in ("granular", "single-rsmpc"):
-        setup = ocp.MethodSetup.build(cfg, method)
+        setup = ocp.MethodSetup.build(free, method)
         x0 = np.array([cfg.start[0], 0.0, cfg.start[1], 0.0])
         prob = ocp.assemble(setup, x0, None)
         prob.a_static = np.zeros((0, prob.n_y))
         prob.b_static = np.zeros(0)
         prob.nonlinear = []
-        settings = ocp.SqpSettings.from_config(cfg)
-        settings.pos_step_limit = 1e12
-        sol = ocp.solve_sqp(prob, settings)
+        sol = ocp.solve_sqp(prob)
         if prob.a_eq is not None and len(prob.a_eq):
             me = len(prob.b_eq)
             kkt = np.block([[prob.H, prob.a_eq.T],

@@ -33,7 +33,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["run", "--set", "solver.soft_penalty=0"],
                  ["run", "--set", "solver.sqp_pos_step_limit=0"],
                  ["run", "--set", "cost.q_diag=[1,1]"],
-                 ["run", "--set", "cost.rc_diag=[1,1,1]"]):
+                 ["run", "--set", "cost.rc_diag=[1,1,1]"],
+                 # values of the wrong kind: empty, text, a fraction or a
+                 # list for a number, a number for a list, a short list
+                 ["run", "--set", "robot.dt="], ["run", "--set", "horizons.ns=x"],
+                 ["run", "--set", "horizons.ns=1.5"], ["run", "--set", "stochastic.risk=[1]"],
+                 ["run", "--set", "world.target=5"], ["run", "--set", "world.lane_high=abc"],
+                 ["run", "--set", "obstacle.obstacle_start=[1]"],
+                 ["run", "--set", "gains.k_gain=3"]):
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err

@@ -312,15 +312,15 @@ def _assert_describes_the_unpruned_set(tube, normals, K):
 def test_solve_matches_batch_solution_without_inequalities(cfg):
     # criterion oracle: with every inequality removed the SQP must land on
     # the closed-form equality-constrained quadratic minimizer
+    # no position step limit: there is nothing to guard without keep-outs
+    free = cfg.with_overrides({"solver.sqp_pos_step_limit": "1e12"})
     for method in ("granular", "single-rsmpc"):
-        setup = ocp.MethodSetup.build(cfg, method)
+        setup = ocp.MethodSetup.build(free, method)
         prob = ocp.assemble(setup, _start_state(cfg), None)
         prob.a_static = np.zeros((0, prob.n_y))
         prob.b_static = np.zeros(0)
         prob.nonlinear = []
-        settings = ocp.SqpSettings.from_config(cfg)
-        settings.pos_step_limit = 1e12   # nothing to guard without keep-outs
-        sol = ocp.solve_sqp(prob, settings)
+        sol = ocp.solve_sqp(prob)
         assert sol.status == "converged"
         if prob.a_eq is not None and len(prob.a_eq):
             me = len(prob.b_eq)
@@ -332,12 +332,11 @@ def test_solve_matches_batch_solution_without_inequalities(cfg):
         assert np.max(np.abs(sol.y - ref)) < 1e-6
 
 
-def test_idle_at_target_without_obstacle(cfg, setup_granular):
+def test_idle_at_target_without_obstacle(cfg):
     xt = np.array([cfg.target[0], 0.0, cfg.target[1], 0.0])
-    prob = ocp.assemble(setup_granular, xt, None)
-    settings = ocp.SqpSettings.from_config(cfg)
-    settings.max_iter = 200
-    sol = ocp.solve_sqp(prob, settings)
+    setup = ocp.MethodSetup.build(cfg.with_overrides({"solver.sqp_max_iter": "200"}),
+                                  "granular")
+    sol = ocp.solve_sqp(ocp.assemble(setup, xt, None))
     assert sol.status == "converged"
     assert np.max(np.abs(sol.ubar)) <= 1e-5
     assert np.max(np.abs(sol.xbar - xt)) <= 1e-4
@@ -347,7 +346,7 @@ def test_solution_is_feasible_at_start(cfg):
     for method in ("granular", "single-rsmpc", "single-rmpc"):
         setup = ocp.MethodSetup.build(cfg, method)
         prob = ocp.assemble(setup, _start_state(cfg), _obstacle(cfg))
-        sol = ocp.solve_sqp(prob, ocp.SqpSettings.from_config(cfg))
+        sol = ocp.solve_sqp(prob)
         assert sol.status == "converged"
         assert sol.violation <= 1e-6
         assert np.max(prob.a_static @ sol.y - prob.b_static) <= 1e-6
@@ -357,17 +356,16 @@ def test_warm_started_resolve_is_cheap(cfg):
     # after one disturbance-free plant step the shifted plan should already
     # satisfy the new problem, leaving only a couple of polish iterations,
     # and the carried QP active set should spare nearly all QP iterations
-    settings = ocp.SqpSettings.from_config(cfg)
     for method in ("granular", "single-rsmpc"):
         setup = ocp.MethodSetup.build(cfg, method)
         x = np.array([2.0, 1.0, 0.0, 0.0])
-        sol = ocp.solve_sqp(ocp.assemble(setup, x, None), settings)
+        sol = ocp.solve_sqp(ocp.assemble(setup, x, None))
         u = ocp.extract_control(sol, x, setup.gains.K)
         x1 = model_step(setup.model, x, u)
-        sol2 = ocp.solve_sqp(ocp.assemble(setup, x1, None), settings, warm_start=sol)
+        sol2 = ocp.solve_sqp(ocp.assemble(setup, x1, None), warm_start=sol)
         assert sol2.status == "converged"
         assert sol2.iterations <= 3
-        cold = ocp.solve_sqp(ocp.assemble(setup, x1, None), settings)
+        cold = ocp.solve_sqp(ocp.assemble(setup, x1, None))
         assert cold.status == "converged"
         assert 5 * sol2.qp_iterations <= cold.qp_iterations
         assert np.max(np.abs(sol2.y - cold.y)) <= 1e-6
@@ -376,8 +374,7 @@ def test_warm_started_resolve_is_cheap(cfg):
 def test_infeasible_initial_state_detected(cfg, setup_granular):
     # velocity far beyond the tightened bound plus tube radius
     bad = np.array([0.0, 10.0, 0.0, 0.0])
-    sol = ocp.solve_sqp(ocp.assemble(setup_granular, bad, _obstacle(cfg)),
-                        ocp.SqpSettings.from_config(cfg))
+    sol = ocp.solve_sqp(ocp.assemble(setup_granular, bad, _obstacle(cfg)))
     assert sol.status == "infeasible"
     with pytest.raises(ocp.OcpError):
         ocp.extract_control(sol, bad, setup_granular.gains.K)
@@ -385,8 +382,7 @@ def test_infeasible_initial_state_detected(cfg, setup_granular):
 
 def test_extract_control_identity(cfg, setup_granular):
     x0 = _start_state(cfg)
-    sol = ocp.solve_sqp(ocp.assemble(setup_granular, x0, _obstacle(cfg)),
-                        ocp.SqpSettings.from_config(cfg))
+    sol = ocp.solve_sqp(ocp.assemble(setup_granular, x0, _obstacle(cfg)))
     K = setup_granular.gains.K
     u = ocp.extract_control(sol, x0, K)
     assert np.allclose(u, K @ x0 + sol.nus[0], atol=1e-12)
@@ -400,13 +396,13 @@ def test_degenerate_horizon_without_coarse_stage(cfg):
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
     assert prob.n_y == 4 + 2 * short.ns
     assert prob.trajectories(np.zeros(prob.n_y))[2] is None
-    sol = ocp.solve_sqp(prob, ocp.SqpSettings.from_config(short))
+    sol = ocp.solve_sqp(prob)
     assert sol.status == "converged"
     # single-rsmpc without a chance stage is the robust problem over Ns steps
     setup = ocp.MethodSetup.build(short, "single-rsmpc")
     prob = ocp.assemble(setup, _start_state(short), _obstacle(short))
     assert not {"chance_ellipse", "chance_velocity"} & set(_census(setup))
-    assert ocp.solve_sqp(prob, ocp.SqpSettings.from_config(short)).status == "converged"
+    assert ocp.solve_sqp(prob).status == "converged"
 
 
 def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
@@ -415,8 +411,7 @@ def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
     flat = cfg.with_overrides({"horizons.ns": "0"})
     setup = ocp.MethodSetup.build(flat, "granular")
     assert setup.n_nu == 0
-    sol = ocp.solve_sqp(ocp.assemble(setup, _start_state(flat), _obstacle(flat)),
-                        ocp.SqpSettings.from_config(flat))
+    sol = ocp.solve_sqp(ocp.assemble(setup, _start_state(flat), _obstacle(flat)))
     prob = ocp.assemble(setup, np.array([0.1, 0.2, 0.0, 0.0]), _obstacle(flat))
     y = ocp.shift_warm_start(prob, sol)
     assert np.array_equal(y[:4], prob.x0 - sol.xbar[0])
@@ -424,7 +419,7 @@ def test_shift_without_detailed_inputs_keeps_the_initial_error(cfg):
 
 def test_planned_positions_cover_full_horizon(cfg, setup_granular):
     prob = ocp.assemble(setup_granular, _start_state(cfg), _obstacle(cfg))
-    sol = ocp.solve_sqp(prob, ocp.SqpSettings.from_config(cfg))
+    sol = ocp.solve_sqp(prob)
     positions = prob.positions(sol.y)
     assert positions.shape == (cfg.n_total + 1, 2)
     assert np.allclose(positions[:cfg.ns + 1], sol.xbar[:, [0, 2]])
@@ -433,7 +428,7 @@ def test_planned_positions_cover_full_horizon(cfg, setup_granular):
 def test_solution_trace_records_iterations(cfg, setup_granular):
     trace = []
     sol = ocp.solve_sqp(ocp.assemble(setup_granular, _start_state(cfg), _obstacle(cfg)),
-                        ocp.SqpSettings.from_config(cfg), trace=trace)
+                        trace=trace)
     assert len(trace) == sol.iterations
     assert all("violation" in row and "objective" in row for row in trace)
 

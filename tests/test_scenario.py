@@ -131,6 +131,16 @@ def test_config_validation():
         for bad in ((1.0,) * (n - 1), (1.0,) * (n + 1), 1.0, ("a",) * n, ((1.0,) * n,)):
             with pytest.raises(sc.ConfigError, match=f"cost.{field} must be {n} floats"):
                 sc.ScenarioConfig(**{field: bad})
+    # every field takes its default's kind, and a bool is no number
+    for field, bad, kind in (("ns", True, "an integer"), ("max_steps", 2.0, "an integer"),
+                             ("dt", False, "a number"), ("risk", None, "a number"),
+                             ("terminal_cost", 1, "a string"),
+                             ("start", (0.0, True), "2 floats"),
+                             ("box_corners", ((1.0, 2.0),) * 3, "4 x 2 floats"),
+                             ("k_gain", (1.0,) * 8, "2 x 4 floats")):
+        with pytest.raises(sc.ConfigError, match=f"\\.{field} must be {kind}$"):
+            sc.ScenarioConfig(**{field: bad})
+    assert sc.ScenarioConfig(dt=1, start=(0, 0)).dt == 1
 
 
 def test_disturbance_modes(cfg):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import granmpc.scenario as sc
-from granmpc import simulate
+from granmpc import ocp, simulate
 from granmpc.simulate import (MonteCarloSummary, RunRecord, StepEntry,
                               canonical_record_bytes, monte_carlo,
                               run_closed_loop, summarize)
@@ -86,6 +86,15 @@ def test_granular_seed_2_passes_and_reaches(cfg, setup_granular):
     record = run_closed_loop(cfg, "granular", 2, setup=setup_granular)
     assert record.passed and record.reached
     assert record.terminal_status == "reached"
+
+
+def test_sqp_follows_the_setup_config(cfg):
+    # the SQP takes its settings from the setup's config: capped at one
+    # iteration, every step of the episode takes exactly one
+    one = cfg.with_overrides({"solver.sqp_max_iter": "1", "world.max_steps": "8"})
+    record = run_closed_loop(one, "granular", 0, setup=ocp.MethodSetup.build(one, "granular"))
+    assert record.steps == 8
+    assert [e.sqp_iterations for e in record.entries] == [1] * 8
 
 
 @pytest.mark.parametrize("seed", [54, 55, 78])
