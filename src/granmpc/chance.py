@@ -41,13 +41,6 @@ class CovarianceSchedule:
     def __getitem__(self, k: int) -> np.ndarray:
         return self.sigmas[k]
 
-    def to_json(self) -> dict:
-        return {
-            "sigmas": [s.tolist() for s in self.sigmas],
-            "phi_c": self.phi_c.tolist(),
-            "gc_sigma_gcT": self.gc_sigma_gcT.tolist(),
-        }
-
 
 def propagate_covariance(phi_c, g_c, sigma_w, sigma0, n_steps: int) -> CovarianceSchedule:
     """Run Sigma_{k+1} = Phi Sigma_k Phi' + G Sigma_w G' for n_steps steps."""

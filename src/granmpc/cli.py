@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", default="granmpc-out", help="output directory")
         sp.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="config override, e.g. robot.dt=0.1")
-        sp.add_argument("--terminal-cost", choices=("target", "origin"),
-                        help="terminal cost reference (shortcut for cost.terminal_cost)")
 
     sp = sub.add_parser("build-sets", help="precompute tube and covariance schedule")
     common(sp)
@@ -68,8 +66,6 @@ def _load_config(args) -> sc.ScenarioConfig:
             raise sc.ConfigError(f"override {item!r} is not KEY=VALUE")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if getattr(args, "terminal_cost", None):
-        overrides["cost.terminal_cost"] = args.terminal_cost
     if overrides:
         cfg = cfg.with_overrides(overrides)
     return cfg
@@ -97,16 +93,10 @@ def _cmd_build_sets(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
     setup = ocp.MethodSetup.build(cfg, "granular")
-    payload = {
-        "tube": setup.tube.to_json(),
-        "tightened_bounds": _tightened_bounds(setup.tube),
-        "covariance_schedule": setup.coarse_sched.to_json()
-        if setup.coarse_sched is not None else None,
-    }
+    b = _tightened_bounds(setup.tube)
     path = out / "sets.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    b = payload["tightened_bounds"]
+    simulate.write_json({"tube": setup.tube, "tightened_bounds": b,
+                         "covariance_schedule": setup.coarse_sched}, path)
     print(f"tube: {setup.tube.Z.n_generators} generators, alpha={setup.tube.alpha:.2e}, "
           f"s={setup.tube.s}")
     print(f"tightened lane [{b['lane'][0]:.4f}, {b['lane'][1]:.4f}], "
@@ -135,9 +125,7 @@ def _cmd_batch(args) -> int:
         for rec in records:
             simulate.write_run_jsonl(rec, out / f"run_{rec.method}_{rec.seed}.jsonl")
     simulate.write_summary_csv(records, out / "summary.csv")
-    (out / "summary.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    simulate.write_json(summary, out / "summary.json")
     print(f"{args.method}: {summary.n_runs} runs, pass rate {summary.pass_rate:.2f}, "
           f"collision rate {summary.collision_rate:.2f}, "
           f"mean cost {summary.mean_cumulative_cost:.2f}, "
@@ -151,11 +139,11 @@ def _cmd_compare(args) -> int:
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
     report = simulate.compare_methods(cfg, args.runs, args.seed)
-    simulate.write_comparison_json(report, out / "comparison.json")
+    simulate.write_json(report, out / "comparison.json")
     for m in simulate.METHODS:
         s = report["methods"][m]
-        print(f"{m}: pass {s['pass_rate']:.2f}, collide {s['collision_rate']:.2f}, "
-              f"cost {s['mean_cumulative_cost']:.2f}, solve {s['mean_solve_ms']:.2f} ms")
+        print(f"{m}: pass {s.pass_rate:.2f}, collide {s.collision_rate:.2f}, "
+              f"cost {s.mean_cumulative_cost:.2f}, solve {s.mean_solve_ms:.2f} ms")
     print(f"time ratio granular/single-rsmpc: "
           f"{report['time_ratio_granular_vs_single_rsmpc']:.3f}")
     print(f"cost ratio granular/single-rsmpc: "

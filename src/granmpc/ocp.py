@@ -336,7 +336,7 @@ def _condense(cfg, method, model, gains, tube, tube_a, tube_b,
     # cost: sum of (M z - ref)' W (M z - ref) over the stage terms
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
     Qc, Rc = np.diag(cfg.qc_diag), np.diag(cfg.rc_diag)
-    x_t = np.array([cfg.target[0], 0.0, cfg.target[1], 0.0])
+    x_t = sc.state(cfg.target, (0.0, 0.0))
     p_t = np.array(cfg.target, dtype=float)
     p_term = p_t if cfg.terminal_cost == "target" else np.zeros(2)
     z2 = np.zeros(2)
@@ -539,7 +539,7 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     """
     cfg = prob.setup.cfg
     y = np.zeros(prob.n_y)
-    p0 = prob.x0[[0, 2]]
+    p0 = prob.x0[sc.POS]
     tgt = np.array(cfg.target, dtype=float)
     delta = tgt - p0
     dist = float(np.linalg.norm(delta))
@@ -570,7 +570,7 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     v_ref = np.vstack([v_ref, v_ref[-1]])
     K, Kc = prob.setup.gains.K, prob.setup.gains.Kc
     for k in range(prob.setup.n_nu):
-        y[prob.nu_slice(k)] = -K @ np.array([p_ref[k, 0], v_ref[k, 0], p_ref[k, 1], v_ref[k, 1]])
+        y[prob.nu_slice(k)] = -K @ sc.state(p_ref[k], v_ref[k])
     for j, k in enumerate(range(cfg.ns, cfg.ns + prob.setup.n_c)):
         y[prob.c_slice(j)] = v_ref[k] - Kc @ p_ref[k]
     return y
@@ -600,7 +600,7 @@ def shift_warm_start(prob: OcpProblem, prev: "OcpSolution") -> np.ndarray:
         # one; emulate its velocity input with the acceleration that
         # reproduces the same position update over one sample
         x_end = prev.xbar[-1]
-        acc = 2.0 * (prev.vbar[0] - x_end[[1, 3]]) / st.cfg.dt
+        acc = 2.0 * (prev.vbar[0] - x_end[sc.VEL]) / st.cfg.dt
         y[prob.nu_slice(st.n_nu - 1)] = acc - st.gains.K @ x_end
     return y
 

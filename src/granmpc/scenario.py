@@ -121,13 +121,21 @@ class ScenarioConfig:
             raise ConfigError("solver.sqp_max_iter must be >= 1 and "
                               "solver.sqp_max_halvings >= 0")
         # a semi-axis <= 0 divides by zero or flips the keep-outs, a step
-        # limit <= 0 freezes or reverses each SQP step, and a penalty <= 0
-        # leaves the fallback's slacks free
+        # limit <= 0 freezes or reverses each SQP step, a penalty <= 0 leaves
+        # the fallback's slacks free, and a tube or obstacle of size 0 is no
+        # set
         for key in ("avoidance.ellipse_a", "avoidance.ellipse_b", "avoidance.robust_ellipse_a",
                     "avoidance.robust_ellipse_b", "solver.sqp_pos_step_limit",
-                    "solver.soft_penalty"):
+                    "solver.soft_penalty", "tube.tube_eps", "obstacle.obstacle_radius"):
             if not getattr(self, key.split(".")[1]) > 0:
                 raise ConfigError(f"{key} must be positive")
+        # a negative bound or radius would be read as its magnitude or as an
+        # empty range, and a negative tolerance can never be met
+        for key in ("world.robot_radius", "world.finish_threshold", "robot.disturbance_bound",
+                    "robot.disturbance_pos_bound", "obstacle.obstacle_disturbance_bound",
+                    "solver.sqp_step_tol", "solver.sqp_violation_tol"):
+            if not getattr(self, key.split(".")[1]) >= 0:
+                raise ConfigError(f"{key} must be nonnegative")
 
     # -- horizon helpers ---------------------------------------------------
     @property
@@ -237,10 +245,18 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
 # model construction
 
 
-# Selectors of the position (p_x, p_y) and the velocity (v_x, v_y) from the
-# detailed state (p_x, v_x, p_y, v_y), the state order of detailed_model.
-POS_ROWS = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
-VEL_ROWS = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+# Indices of the position (p_x, p_y) and the velocity (v_x, v_y) in the
+# detailed state (p_x, v_x, p_y, v_y), the state order of detailed_model, and
+# the matrices that select them.
+POS, VEL = [0, 2], [1, 3]
+POS_ROWS, VEL_ROWS = np.eye(4)[POS], np.eye(4)[VEL]
+
+
+def state(pos, vel) -> np.ndarray:
+    """Detailed state with position pos and velocity vel."""
+    x = np.zeros(4)
+    x[POS], x[VEL] = pos, vel
+    return x
 
 
 def detailed_model(cfg: ScenarioConfig) -> LinearModel:
@@ -304,19 +320,12 @@ def input_set(cfg: ScenarioConfig) -> HPolytope:
 class DynamicObstacle:
     position: np.ndarray
     velocity: np.ndarray
-    radius: float
     disturbance_bound: float
-
-    def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("obstacle radius must be positive")
-        self.position = np.asarray(self.position, dtype=float)
-        self.velocity = np.asarray(self.velocity, dtype=float)
 
     @classmethod
     def from_config(cls, cfg: ScenarioConfig) -> "DynamicObstacle":
-        return cls(np.array(cfg.obstacle_start), np.array(cfg.obstacle_velocity),
-                   cfg.obstacle_radius, cfg.obstacle_disturbance_bound)
+        return cls(np.array(cfg.obstacle_start, dtype=float),
+                   np.array(cfg.obstacle_velocity, dtype=float), cfg.obstacle_disturbance_bound)
 
     def advance(self, dt: float, vel_noise) -> None:
         self.position = self.position + dt * (self.velocity + np.asarray(vel_noise, dtype=float))

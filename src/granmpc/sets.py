@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _MAX_POWER = 500   # powers of Phi mrpi_outer tries before it gives up
-_MAX_GENERATORS = 512  # generators reduce_generators leaves a zonotope with
 
 
 class SetError(ValueError):
@@ -63,9 +62,6 @@ class HPolytope:
         """Radius of the largest inscribed ball: half the narrowest axis
         width, negative when empty, inf when no axis is closed on both sides."""
         return float(np.min(_box_widths(self.normals, self.offsets)[0], initial=np.inf)) / 2.0
-
-    def to_json(self) -> dict:
-        return {"type": "hpolytope", "normals": self.normals.tolist(), "offsets": self.offsets.tolist()}
 
 
 def _box_widths(A: np.ndarray, b: np.ndarray):
@@ -118,9 +114,6 @@ class Zonotope:
         """Per-axis half-widths of the tightest enclosing axis box (about center)."""
         return np.sum(np.abs(self.generators), axis=1)
 
-    def to_json(self) -> dict:
-        return {"type": "zonotope", "center": self.center.tolist(), "generators": self.generators.tolist()}
-
 
 def support(z: Zonotope, direction):
     """Support function max_{x in z} d.x of a zonotope: a float for one
@@ -164,23 +157,6 @@ def pontryagin_diff(p: HPolytope, z: Zonotope) -> HPolytope:
             f"{worst} (normal {p.normals[worst].tolist()}, offset {p.offsets[worst]:.6g}); "
             "the disturbance set is too large for the constraint set")
     return HPolytope(p.normals, tightened)
-
-
-def reduce_generators(z: Zonotope) -> Zonotope:
-    """Cap the generator count at _MAX_GENERATORS, merging the smallest-norm
-    tail into an axis box.
-
-    The result is an outer approximation of the input (support never shrinks).
-    """
-    if z.n_generators <= _MAX_GENERATORS:
-        return z
-    norms = np.linalg.norm(z.generators, axis=0)
-    order = np.argsort(norms)[::-1]
-    n_keep = max(_MAX_GENERATORS - z.dim, 0)
-    keep = z.generators[:, order[:n_keep]]
-    tail = z.generators[:, order[n_keep:]]
-    box = np.diag(np.sum(np.abs(tail), axis=1))
-    return Zonotope(z.center, np.hstack([keep, box]))
 
 
 def _box_facet_data(d: Zonotope) -> np.ndarray:
@@ -227,5 +203,5 @@ def mrpi_outer(Phi, D: Zonotope, eps: float = 1e-3):
         alpha = float(np.max(np.sum(np.abs(PD), axis=1) / w))
         if alpha <= target:
             G = np.hstack(gens) / (1.0 - alpha)
-            return reduce_generators(Zonotope(np.zeros(Phi.shape[0]), G)), alpha, s
+            return Zonotope(np.zeros(Phi.shape[0]), G), alpha, s
     raise SetError(f"mrpi_outer did not terminate within {_MAX_POWER} powers")

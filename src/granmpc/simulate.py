@@ -1,4 +1,5 @@
-"""Closed-loop simulation, Monte Carlo batches, and metric aggregation.
+"""Closed-loop simulation, Monte Carlo batches, metric aggregation, and the
+JSON form of records, summaries and sets.
 
 Each run owns two RNG streams (plant disturbance, obstacle disturbance)
 spawned from its seed, so disturbance sequences are independent of solver
@@ -10,15 +11,40 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import ocp, scenario as sc
 from .models import step as model_step
+from .sets import HPolytope, Zonotope
 
 METHODS = ocp.METHODS
+
+# StepEntry fields that hold wall-clock times: the JSONL keeps them, the
+# canonical record bytes leave them out
+TIMING_FIELDS = ("solve_ms",)
+
+
+def plain(obj):
+    """JSON-ready form of a record, summary, tube, schedule or set: a
+    dataclass becomes a dict of its fields (a set also gets its "type" tag),
+    an array or tuple a list, a numpy scalar a Python number."""
+    if is_dataclass(obj):
+        out = {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+        if isinstance(obj, (HPolytope, Zonotope)):
+            out["type"] = type(obj).__name__.lower()
+        return out
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 @dataclass
@@ -35,24 +61,6 @@ class StepEntry:
     softened: bool
     qp_iterations: int = 0
     violation: float = 0.0       # worst violation of the executed plan's rows
-
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
-            "k": self.k,
-            "x": [float(v) for v in self.x],
-            "u": [float(v) for v in self.u],
-            "d": [float(v) for v in self.d],
-            "obstacle": [float(v) for v in self.obstacle],
-            "stage_cost": float(self.stage_cost),
-            "status": self.status,
-            "sqp_iterations": int(self.sqp_iterations),
-            "softened": bool(self.softened),
-            "qp_iterations": int(self.qp_iterations),
-            "violation": float(self.violation),
-        }
-        if include_timing:
-            out["solve_ms"] = float(self.solve_ms)
-        return out
 
 
 @dataclass
@@ -80,7 +88,7 @@ class RunRecord:
         return float(np.mean([e.solve_ms for e in self.entries]))
 
     def robot_positions(self) -> np.ndarray:
-        pts = [e.x[[0, 2]] for e in self.entries] + [self.final_state[[0, 2]]]
+        pts = [e.x[sc.POS] for e in self.entries] + [self.final_state[sc.POS]]
         return np.array(pts)
 
     def obstacle_positions(self) -> np.ndarray:
@@ -88,20 +96,15 @@ class RunRecord:
         return np.array(pts)
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        return {
-            "method": self.method,
-            "seed": int(self.seed),
-            "collided": bool(self.collided),
-            "passed": bool(self.passed),
-            "reached": bool(self.reached),
-            "steps": int(self.steps),
-            "cumulative_cost": float(self.cumulative_cost),
-            "terminal_status": self.terminal_status,
-            "softened_steps": int(self.softened_steps),
-            "final_state": [float(v) for v in self.final_state],
-            "final_obstacle": [float(v) for v in self.final_obstacle],
-            "entries": [e.to_dict(include_timing) for e in self.entries],
-        }
+        """Every field, plus softened_steps; without timing, the entries
+        drop their TIMING_FIELDS."""
+        out = plain(self)
+        out["softened_steps"] = self.softened_steps
+        if not include_timing:
+            for entry in out["entries"]:
+                for name in TIMING_FIELDS:
+                    del entry[name]
+        return out
 
 
 def canonical_record_bytes(record: RunRecord) -> bytes:
@@ -130,9 +133,9 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
     d_half = setup.model.disturbance.interval_hull()
 
     Q, R = np.diag(cfg.q_diag), np.diag(cfg.r_diag)
-    x_t = np.array([cfg.target[0], 0.0, cfg.target[1], 0.0])
+    x_t = sc.state(cfg.target, (0.0, 0.0))
 
-    x = np.array([cfg.start[0], 0.0, cfg.start[1], 0.0])
+    x = sc.state(cfg.start, (0.0, 0.0))
     obstacle = sc.DynamicObstacle.from_config(cfg)
 
     entries: List[StepEntry] = []
@@ -165,7 +168,7 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
                                     obstacle.disturbance_bound, size=2)
         obstacle.advance(cfg.dt, obs_noise)
 
-        pos = x[[0, 2]]
+        pos = x[sc.POS]
         if np.linalg.norm(pos - np.array(cfg.target)) <= cfg.finish_threshold:
             terminal_status = "reached"
             break
@@ -199,9 +202,6 @@ class MonteCarloSummary:
     mean_cost_curve: List[float]
     mean_solve_curve: List[float]
     softened_steps_total: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _padded_curves(records: List[RunRecord]):
@@ -254,7 +254,7 @@ def compare_methods(cfg: sc.ScenarioConfig, n_runs: int, base_seed: int) -> dict
     report = {
         "n_runs": n_runs,
         "base_seed": base_seed,
-        "methods": {m: summaries[m].to_dict() for m in METHODS},
+        "methods": summaries,
         "time_ratio_granular_vs_single_rsmpc":
             g.mean_solve_ms / s.mean_solve_ms if s.mean_solve_ms > 0 else float("nan"),
         "cost_ratio_granular_vs_single_rsmpc":
@@ -273,7 +273,7 @@ CSV_COLUMNS = ("method", "run_id", "passed", "collided", "reached", "steps",
 
 def write_run_jsonl(record: RunRecord, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        header = record.to_dict(include_timing=True)
+        header = record.to_dict()
         entries = header.pop("entries")
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for e in entries:
@@ -290,7 +290,8 @@ def write_summary_csv(records: List[RunRecord], path) -> None:
                         f"{r.mean_solve_ms:.3f}", r.softened_steps])
 
 
-def write_comparison_json(report: dict, path) -> None:
+def write_json(data, path) -> None:
+    """Indented, key-sorted JSON of plain(data)."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        json.dump(plain(data), fh, indent=2, sort_keys=True)
         fh.write("\n")

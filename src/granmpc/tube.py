@@ -30,18 +30,6 @@ class TubeSpec:
     alpha: float
     s: int
 
-    def to_json(self) -> dict:
-        return {
-            "Z": self.Z.to_json(),
-            "KZ": self.KZ.to_json(),
-            "Xbar": self.Xbar.to_json(),
-            "Ubar": self.Ubar.to_json(),
-            "K": self.K.tolist(),
-            "Phi": self.Phi.tolist(),
-            "alpha": self.alpha,
-            "s": self.s,
-        }
-
 
 def build_tube(model: LinearModel, K, eps: float, X: HPolytope, U: HPolytope) -> TubeSpec:
     """Compute the invariant tube Z and tightened sets Xbar = X - Z, Ubar = U - KZ.

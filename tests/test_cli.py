@@ -23,6 +23,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--jobs", "0", "--out", str(out)]) == 2
     assert main(["run", "--method", "nonsense", "--out", str(out)]) == 2
     assert main(["no-such-command"]) == 2
+    assert main(["run", "--terminal-cost", "origin", "--out", str(out)]) == 2
     for argv in (["run", "--runs", "0"], ["montecarlo", "--runs", "0"],
                  ["compare", "--runs", "0"], ["run", "--set", "bogus.key=1"],
                  ["run", "--set", "novalue"], ["run", "--set", "solver.sqp_max_iter=0"],
@@ -45,6 +46,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # a size, bound or tolerance out of its range names its key
+    for key, bad in (("solver.sqp_violation_tol", "-1"), ("solver.sqp_step_tol", "-1"),
+                     ("robot.disturbance_bound", "-0.1"),
+                     ("robot.disturbance_pos_bound", "-0.1"),
+                     ("world.robot_radius", "-1"), ("world.finish_threshold", "-1"),
+                     ("tube.tube_eps", "0"), ("obstacle.obstacle_radius", "0"),
+                     ("obstacle.obstacle_disturbance_bound", "-1")):
+        capsys.readouterr()
+        assert main(["run", "--set", f"{key}={bad}", "--out", str(out)]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -98,7 +110,7 @@ def test_run_debug_trace(tmp_path):
 def test_overrides_echoed_in_config(tmp_path):
     out = tmp_path / "ovr"
     rc = main(["run", "--runs", "1", "--seed", "0", "--out", str(out),
-               "--set", "world.max_steps=40", "--terminal-cost", "origin"])
+               "--set", "world.max_steps=40", "--set", "cost.terminal_cost=origin"])
     assert rc == 0
     cfg = yaml.safe_load((out / "config.yaml").read_text(encoding="utf-8"))
     assert cfg["world"]["max_steps"] == 40

@@ -11,6 +11,8 @@ from granmpc.sets import EmptySetError
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
 FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 def _floats(n):
@@ -25,10 +27,10 @@ def configs(draw):
                   .filter(lambda h: h[0] + h[1] > 0))
     return sc.ScenarioConfig(
         start=draw(_floats(2)), target=draw(_floats(2)),
-        robot_radius=draw(FLOATS), max_steps=draw(st.integers(1, 10 ** 6)),
+        robot_radius=draw(NONNEGATIVE), max_steps=draw(st.integers(1, 10 ** 6)),
         dt=draw(st.floats(min_value=1e-300, max_value=1e300)),
-        disturbance_bound=draw(FLOATS),
-        disturbance_pos_bound=draw(FLOATS),
+        disturbance_bound=draw(NONNEGATIVE),
+        disturbance_pos_bound=draw(NONNEGATIVE),
         disturbance_mode=draw(st.sampled_from(("velocity", "full"))),
         realized_disturbance=draw(st.sampled_from(("uniform", "truncated_gaussian"))),
         obstacle_velocity=draw(_floats(2)),
@@ -36,10 +38,9 @@ def configs(draw):
         q_diag=draw(_floats(4)), r_diag=draw(_floats(2)),
         terminal_cost=draw(st.sampled_from(("target", "origin"))),
         k_gain=draw(st.tuples(_floats(4), _floats(4))),
-        sigma_w_diag=draw(st.tuples(*[st.floats(min_value=0.0, allow_infinity=False)] * 2)),
+        sigma_w_diag=draw(st.tuples(NONNEGATIVE, NONNEGATIVE)),
         risk=draw(st.floats(min_value=0.5, max_value=1.0, exclude_max=True)),
-        ns=ns, nl=nl, tube_eps=draw(FLOATS),
-        soft_penalty=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+        ns=ns, nl=nl, tube_eps=draw(POSITIVE), soft_penalty=draw(POSITIVE))
 
 
 def _cli_text(value) -> str:
@@ -120,13 +121,23 @@ def test_config_validation():
         with pytest.raises(sc.ConfigError, match="sigma_w_diag"):
             sc.ScenarioConfig(sigma_w_diag=bad)
     # a semi-axis, step limit or penalty <= 0 would reach the solver as a
-    # division by zero, a frozen step or free slacks
+    # division by zero, a frozen step or free slacks, and a tube or obstacle
+    # of size 0 is no set
     for field in ("ellipse_a", "ellipse_b", "robust_ellipse_a", "robust_ellipse_b",
-                  "sqp_pos_step_limit", "soft_penalty"):
+                  "sqp_pos_step_limit", "soft_penalty", "tube_eps", "obstacle_radius"):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(sc.ConfigError, match=f"\\.{field} must be positive"):
                 sc.ScenarioConfig(**{field: bad})
         assert getattr(sc.ScenarioConfig(**{field: 1e-9}), field) == 1e-9
+    # a negative bound would run as its magnitude (or give numpy an empty
+    # range), and a negative tolerance can never be met
+    for field in ("robot_radius", "finish_threshold", "disturbance_bound",
+                  "disturbance_pos_bound", "obstacle_disturbance_bound", "sqp_step_tol",
+                  "sqp_violation_tol"):
+        for bad in (-1e-9, -1.0, float("nan")):
+            with pytest.raises(sc.ConfigError, match=f"\\.{field} must be nonnegative"):
+                sc.ScenarioConfig(**{field: bad})
+        assert getattr(sc.ScenarioConfig(**{field: 0.0}), field) == 0.0
     for field, n in (("q_diag", 4), ("r_diag", 2), ("qc_diag", 2), ("rc_diag", 2)):
         for bad in ((1.0,) * (n - 1), (1.0,) * (n + 1), 1.0, ("a",) * n, ((1.0,) * n,)):
             with pytest.raises(sc.ConfigError, match=f"cost.{field} must be {n} floats"):

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from granmpc.sets import (_MAX_GENERATORS, EmptySetError, HPolytope, SetError,
-                          Zonotope, linear_map, minkowski_sum, mrpi_outer,
-                          pontryagin_diff, reduce_generators, support)
+from granmpc.sets import (EmptySetError, HPolytope, SetError, Zonotope, linear_map,
+                          minkowski_sum, mrpi_outer, pontryagin_diff, support)
 
 
 def _zono_vertices(z):
@@ -104,15 +103,6 @@ def test_pontryagin_diff_empty_raises():
     p = HPolytope(A, np.ones(4))
     with pytest.raises(EmptySetError):
         pontryagin_diff(p, Zonotope.box([2.0, 2.0]))
-
-
-def test_reduce_generators_outer_approximation():
-    rng = np.random.default_rng(17)
-    z = Zonotope(np.zeros(3), rng.normal(size=(3, _MAX_GENERATORS + 30)))
-    r = reduce_generators(z)
-    assert r.n_generators <= _MAX_GENERATORS
-    for d in _random_directions(rng, 3, 30):
-        assert support(r, d) >= support(z, d) - 1e-12
 
 
 def test_chebyshev_radius_box():

@@ -2,6 +2,7 @@
 bookkeeping, Monte Carlo summaries, and the file outputs."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 
 import granmpc.scenario as sc
 from granmpc import ocp, simulate
-from granmpc.simulate import (MonteCarloSummary, RunRecord, StepEntry,
-                              canonical_record_bytes, monte_carlo,
+from granmpc.simulate import (TIMING_FIELDS, MonteCarloSummary, RunRecord, StepEntry,
+                              canonical_record_bytes, monte_carlo, plain,
                               run_closed_loop, summarize)
 
 
@@ -162,6 +163,63 @@ def test_write_run_jsonl_roundtrip(tmp_path, granular_run):
     assert np.allclose(first["x"], granular_run.entries[0].x)
     assert first["qp_iterations"] == granular_run.entries[0].qp_iterations > 0
     assert first["violation"] == granular_run.entries[0].violation
+
+
+def _fields(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def _jsonl(record, tmp_path) -> list:
+    path = tmp_path / "run.jsonl"
+    simulate.write_run_jsonl(record, path)
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_jsonl_carries_every_record_field(tmp_path, granular_run):
+    header, *entries = _jsonl(granular_run, tmp_path)
+    assert set(header) == _fields(RunRecord) - {"entries"} | {"softened_steps"}
+    assert header["softened_steps"] == granular_run.softened_steps
+    assert len(entries) == granular_run.steps
+    assert all(set(e) == _fields(StepEntry) for e in entries)
+
+
+def test_canonical_bytes_carry_every_untimed_entry_field(granular_run):
+    canon = json.loads(canonical_record_bytes(granular_run))
+    assert set(canon) == _fields(RunRecord) | {"softened_steps"}
+    assert TIMING_FIELDS and set(TIMING_FIELDS) <= _fields(StepEntry)
+    assert all(set(e) == _fields(StepEntry) - set(TIMING_FIELDS) for e in canon["entries"])
+
+
+def test_new_entry_field_reaches_the_records(tmp_path, granular_run):
+    # a field declared once on the entry reaches the JSONL and the canonical
+    # bytes with no other edit
+    @dataclasses.dataclass
+    class Labelled(StepEntry):
+        worst_row: str = "chance_lane@3"
+
+    record = dataclasses.replace(
+        granular_run, entries=[Labelled(**vars(e)) for e in granular_run.entries])
+    _, *entries = _jsonl(record, tmp_path)
+    canon = json.loads(canonical_record_bytes(record))
+    for e in entries + canon["entries"]:
+        assert e["worst_row"] == "chance_lane@3"
+
+
+def test_plain_converts_arrays_tuples_and_numpy_scalars():
+    @dataclasses.dataclass
+    class Item:
+        a: np.ndarray
+        t: tuple
+        n: np.integer
+        f: np.floating
+        b: np.bool_
+
+    d = plain(Item(np.eye(2), (1, (2.0, np.float64(0.5))), np.int64(3),
+                   np.float64(0.25), np.bool_(True)))
+    assert d == {"a": [[1.0, 0.0], [0.0, 1.0]], "t": [1, [2.0, 0.5]], "n": 3,
+                 "f": 0.25, "b": True}
+    assert [type(d[k]) for k in ("n", "f", "b")] == [int, float, bool]
+    assert type(d["t"][1][1]) is float
 
 
 def test_write_summary_csv(tmp_path):

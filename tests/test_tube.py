@@ -7,6 +7,7 @@ import pytest
 import granmpc.scenario as sc
 from granmpc.sets import (EmptySetError, Zonotope, linear_map, minkowski_sum,
                           support)
+from granmpc.simulate import plain
 from granmpc.tube import build_tube
 
 
@@ -66,7 +67,12 @@ def test_build_tube_empty_tightening_raises(cfg):
 
 
 def test_tube_json_roundtrip_fields(tube):
-    d = tube.to_json()
+    d = plain(tube)
     assert set(d) == {"Z", "KZ", "Xbar", "Ubar", "K", "Phi", "alpha", "s"}
     assert d["s"] == tube.s
     assert np.allclose(d["K"], tube.K)
+    # the sets keep their type tag next to their fields
+    assert d["Z"] == {"type": "zonotope", "center": tube.Z.center.tolist(),
+                      "generators": tube.Z.generators.tolist()}
+    assert d["Xbar"] == {"type": "hpolytope", "normals": tube.Xbar.normals.tolist(),
+                         "offsets": tube.Xbar.offsets.tolist()}
