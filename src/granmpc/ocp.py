@@ -3,8 +3,9 @@
 The problem is condensed: decision variables y are the initial-state auxiliaries
 beta, the short-stage input offsets nu_k, and (for the granular method) the
 coarse input offsets c_k. Nominal trajectories are linear in z = (y, x0), so
-the cost is an exact quadratic and all nonlinearity lives in the keep-out
-ellipse constraints, which the SQP loop linearizes.
+the cost is an exact quadratic and all nonlinearity lives in the keep-outs
+(ellipses around the obstacle and the static box), which the SQP loop
+linearizes.
 
 The problem is affine in the measured state x0 (the multiparametric-QP form of
 Bemporad, Morari, Dua & Pistikopoulos, Automatica 2002), so ``MethodSetup``
@@ -41,7 +42,6 @@ from .tube import TubeSpec, build_tube
 
 METHODS = ("granular", "single-rsmpc", "single-rmpc")
 
-_EDGE_BUFFER = 0.25   # x-extent widening for conditional box-edge activation
 _TAIL_TOL = 1e-7      # a membership direction must decay below this 1-norm
 _MAX_POWERS = 200     # within this many powers of Phi'
 _PRUNE_TOL = 1e-9     # a dropped membership row exceeds its offset by at most this
@@ -179,49 +179,50 @@ def _frozen(a) -> np.ndarray:
 class Keepouts:
     """A method's keep-outs, stacked once: item i's position is S[i] y + x[i] x0.
 
-    Items keep their descriptors' order, the order of their QP rows. An
-    ellipse keeps its position outside the ellipse around the obstacle's
-    predicted position at its stage, by the chance margin for the risk all
-    chance ellipses share (zero covariance and margin for a robust one). A box
-    edge bounds p_y while p_x lies within its x-range widened by _EDGE_BUFFER.
+    Items keep their descriptors' order, the order of their QP rows. Each
+    keeps its position outside a shape, an ellipse around the obstacle's
+    predicted position at its stage or a fixed box, by its margin plus the
+    chance margin for its covariance and the risk all chance items share
+    (zero covariance, so zero chance margin, for a robust one).
     """
 
     labels: tuple
     S: np.ndarray                # (m, 2, n_y)
     x: np.ndarray                # (m, 2, n_x)
-    ellipse: np.ndarray          # (m,) True for an ellipse, False for a box edge
+    ellipse: np.ndarray          # (m,) True for an ellipse, False for a box
+    center: np.ndarray           # (m, 2) a box's centre (an ellipse's comes each step)
+    axes: np.ndarray             # (m, 2) semi-axes, or a box's half-widths
+    margin: np.ndarray           # (m,)
+    sigma: np.ndarray            # (m, 2, 2) position covariance
     stage: np.ndarray            # (me,) each ellipse's stage, which picks its centre
-    axes: np.ndarray             # (me, 2) semi-axes
-    sigma: np.ndarray            # (me, 2, 2) position covariance
     robust: np.ndarray           # (me,)
-    risk: float                  # 0.5 (a zero quantile) without chance ellipses
-    x_range: np.ndarray          # (ne, 2)
-    y_max: np.ndarray            # (ne,)
+    risk: float                  # 0.5 (a zero quantile) without chance items
 
     @classmethod
     def stack(cls, descs, maps: np.ndarray, n_y: int) -> "Keepouts":
         """From the descriptors and their position maps (m, 2, n_z) on z = (y, x0)."""
         ell = [d for d in descs if isinstance(d, sc.EllipseKeepout)]
-        edges = [d for d in descs if not isinstance(d, sc.EllipseKeepout)]
-        risks = {d.p for d in ell if d.p is not None} or {0.5}
+        risks = {d.p for d in descs if d.p is not None} or {0.5}
         if len(risks) > 1:
             raise OcpError(f"chance keep-outs with different risk parameters {sorted(risks)}")
+        # centre, semi-axes or half-widths, margin (an ellipse's centre comes each step)
+        ext = np.reshape([[0.0, 0.0, d.a, d.b, 0.0] if isinstance(d, sc.EllipseKeepout) else
+                          [*np.mean([np.min(d.corners, 0), np.max(d.corners, 0)], 0),
+                           *np.ptp(d.corners, 0) / 2.0, d.margin] for d in descs], (-1, 5))
         return cls(
             labels=tuple(d.label for d in descs),
             S=_frozen(maps[:, :, :n_y]), x=_frozen(maps[:, :, n_y:]),
             ellipse=_frozen([isinstance(d, sc.EllipseKeepout) for d in descs]),
+            center=_frozen(ext[:, :2]), axes=_frozen(ext[:, 2:4]), margin=_frozen(ext[:, 4]),
+            sigma=_frozen(np.reshape([np.zeros((2, 2)) if d.p is None else d.sigma
+                                      for d in descs], (-1, 2, 2))),
             stage=_frozen(np.array([d.k for d in ell], dtype=int)),
-            axes=_frozen(np.reshape([[d.a, d.b] for d in ell], (-1, 2))),
-            sigma=_frozen(np.reshape([np.zeros((2, 2)) if d.p is None else d.sigma for d in ell],
-                                     (-1, 2, 2))),
-            robust=_frozen([d.p is None for d in ell]), risk=risks.pop(),
-            x_range=_frozen(np.reshape([d.x_range for d in edges], (-1, 2))),
-            y_max=_frozen([float(d.y_max) for d in edges]))
+            robust=_frozen([d.p is None for d in ell]), risk=risks.pop())
 
 
 class KeepoutTerms(NamedTuple):
     """A step's keep-out terms: the offsets x x0 (m, 2) and the ellipse
-    centres (me, 2), None without an obstacle (then only box edges apply)."""
+    centres (me, 2), None without an obstacle (then only boxes apply)."""
 
     offsets: np.ndarray
     centers: Optional[np.ndarray]
@@ -477,51 +478,54 @@ def nonlinear_violation(prob: OcpProblem, y):
     """Worst true constraint violation at y (0 when feasible) and the
     keep-outs linearized at y: returns (worst, a_nl, b_nl), rows a_nl y' <= b_nl.
 
-    All keep-outs are evaluated at once; rows follow item order, without box
-    edges outside their widened x-range or ellipses without an obstacle. A
-    position inside its ellipse (whose gradient vanishes or points inward) is
-    linearized at its radial projection onto the boundary, an exactly central
-    one at the rear face, the side the robot approaches from.
+    All keep-outs are evaluated at once. Each has a value that must reach its
+    margin plus the chance margin gamma of its gradient, and its row is the
+    value's tangent; rows follow item order, without ellipses when there is
+    no obstacle. A box's value is the signed distance from it, whose
+    gradient is the unit vector from the nearest point outside and the
+    nearest facet's outward normal inside (the lower one from the exact
+    centre), so its row is a supporting half-plane of the box. An ellipse's
+    value is |r|^2 - 1, r = (p - c) / axes; from inside it is linearized at
+    the radial projection onto the boundary (from the exact centre, at the
+    rear face, the side the robot approaches from).
     """
-    worst = 0.0
-    if len(prob.b_static):
-        worst = max(worst, float(np.max(prob.a_static @ y - prob.b_static)))
-    if prob.a_eq is not None and len(prob.a_eq):
-        worst = max(worst, float(np.max(np.abs(prob.a_eq @ y - prob.b_eq))))
+    worst = float(np.max(prob.a_static @ y - prob.b_static, initial=0.0))
+    if prob.a_eq is not None:
+        worst = float(np.max(np.abs(prob.a_eq @ y - prob.b_eq), initial=worst))
     if not prob.nonlinear:
         return worst, np.zeros((0, prob.n_y)), np.zeros(0)
     ko = prob.setup.keepouts
     offsets, centers = prob.nonlinear
-    m = len(offsets)
+    m, e = len(offsets), ko.ellipse
     pos = (ko.S.reshape(2 * m, -1) @ y).reshape(m, 2) + offsets
-    # each row is -grad.S with grad the position gradient of the item's value
-    grad, ub = np.zeros((m, 2)), np.zeros(m)
-    keep = ko.ellipse & (centers is not None)
-    # box edges: p_y <= y_max, as the value y_max - p_y >= 0
-    e = ~ko.ellipse
-    px = pos[e, 0]
-    active = (ko.x_range[:, 0] - _EDGE_BUFFER <= px) & (px <= ko.x_range[:, 1] + _EDGE_BUFFER)
-    worst = float(np.max(pos[e, 1] - ko.y_max, where=active, initial=worst))
-    grad[e, 1] = -1.0
-    ub[e] = ko.y_max - offsets[e, 1]
-    keep[e] = active
+    c = ko.center.copy()
     if centers is not None:
-        # value g = |r|^2 - 1 with r = (p - c) / axes the position in
-        # semi-axis units; the chance constraint is g >= gamma
-        i = ko.ellipse
-        r = (pos[i] - centers) / ko.axes
-        rho = np.hypot(r[:, 0], r[:, 1])
-        r_lin = r / np.clip(rho, 1e-9, 1.0)[:, None]   # projected from inside
-        r_lin[rho < 1e-9] = -1.0, 0.0
-        rr = np.stack([r, r_lin])                       # at p and at p_lin
-        g = np.einsum("kij,kij->ki", rr, rr) - 1.0
-        grads = 2.0 * rr / ko.axes
-        gam = chance.gamma(grads, ko.sigma, ko.risk)
-        worst = float(np.max(gam[0] - g[0], initial=worst))
-        # g(p_lin) + grad.(xi - p_lin) >= gamma with grad.(p_lin - c) = 2 |r_lin|^2
-        grad[i] = grads[1]
-        ub[i] = np.einsum("ij,ij->i", grads[1], offsets[i] - centers) - g[1] - 2.0 - gam[1]
-    return worst, -np.einsum("ij,ijk->ik", grad, ko.S)[keep], ub[keep]
+        c[e] = centers
+    # each item's value and gradient as a box and as an ellipse, kept for its
+    # kind, at p (layer 0) and where its row is linearized (layer 1); the row
+    # is grad.(xi - c) >= h + margin + gamma
+    rel = pos - c
+    q = np.abs(rel) - ko.axes                       # beyond the half-widths, per axis
+    out = np.maximum(q, 0.0)
+    dist = np.hypot(out[:, 0], out[:, 1])
+    inside = (dist == 0.0)[:, None]
+    unit = np.where(inside, np.eye(2)[np.argmax(q, axis=1)],
+                    out / np.where(inside, 1.0, dist[:, None]))
+    r = rel / ko.axes
+    rho = np.hypot(r[:, 0], r[:, 1])
+    r_lin = r / np.clip(rho, 1e-9, 1.0)[:, None]   # projected from inside
+    r_lin[rho < 1e-9] = -1.0, 0.0
+    rr = np.stack([r, r_lin])                       # at p and at p_lin
+    value = np.where(e, np.einsum("kij,kij->ki", rr, rr) - 1.0,
+                     np.where(inside[:, 0], q.max(axis=1), dist))
+    grad = np.where(e[:, None], 2.0 * rr / ko.axes, np.where(rel > 0.0, unit, -unit))
+    # h: grad.(p_lin - c) = 2 |r_lin|^2 = 2 + g(p_lin), or the box's support
+    h = np.where(e, value[1] + 2.0, np.einsum("ij,ij->i", unit, ko.axes))
+    gam = chance.gamma(grad, ko.sigma, ko.risk)
+    keep = ~e if centers is None else slice(None)
+    worst = float(np.max((ko.margin + gam[0] - value[0])[keep], initial=worst))
+    ub = np.einsum("ij,ij->i", grad[1], offsets - c) - h - ko.margin - gam[1]
+    return worst, -np.einsum("ij,ijk->ik", grad[1], ko.S)[keep], ub[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +557,8 @@ def cold_start(prob: OcpProblem) -> np.ndarray:
     # (each ellipse moves only its own stage's point, so item order suffices)
     ko = prob.setup.keepouts
     centers = prob.nonlinear.centers if prob.nonlinear else None
-    for k, (a, b), c, robust in zip(ko.stage, ko.axes, () if centers is None else centers,
-                                    ko.robust):
+    for k, (a, b), c, robust in zip(ko.stage, ko.axes[ko.ellipse],
+                                    () if centers is None else centers, ko.robust):
         if robust:
             cap = c[0] - 1.1 * a
             if p0[0] < cap:
@@ -585,7 +589,7 @@ def shift_warm_start(prob: OcpProblem, prev: "OcpSolution") -> np.ndarray:
     input. The result is a start, not a feasible point: it meets the
     membership rows again (see ``membership_rows``), but the stitched coarse
     stage, the stage that moves from chance to robust rows and the moved
-    obstacle prediction break other rows (ROADMAP item 2).
+    obstacle prediction break other rows (ROADMAP item 3).
     """
     # y = (beta, nu_0..nu_{n_nu-1}, c_0..c_{n_c-1})
     st = prob.setup
@@ -641,11 +645,8 @@ def _solve_soft(prob: OcpProblem, a_nl, b_nl, penalty: float, active):
     a_low = np.hstack([np.zeros((m, n)), -np.eye(m)])
     A = np.vstack([a_top, a_mid, a_low])
     b = np.concatenate([prob.b_static, b_nl, np.zeros(m)])
-    a_eq = b_eq = None
-    if prob.a_eq is not None and len(prob.a_eq):
-        a_eq = np.hstack([prob.a_eq, np.zeros((len(prob.b_eq), m))])
-        b_eq = prob.b_eq
-    return qp_solve(H, f, A, b, a_eq, b_eq, active=active, factor=J)
+    a_eq = None if prob.a_eq is None else np.hstack([prob.a_eq, np.zeros((len(prob.b_eq), m))])
+    return qp_solve(H, f, A, b, a_eq, prob.b_eq, active=active, factor=J)
 
 
 def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
@@ -744,7 +745,7 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
     # rewards approaching them): feasible with lowest objective when any
     # iterate was feasible, otherwise lowest true violation. The start (the
     # shifted previous plan) competes like any iterate; it is no feasible
-    # fallback (ROADMAP item 2)
+    # fallback (ROADMAP item 3)
     if best_v > cfg.sqp_violation_tol:
         status = "violating"
     elif it < cfg.sqp_max_iter or step_norm * t < cfg.sqp_step_tol:

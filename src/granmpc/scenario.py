@@ -122,16 +122,18 @@ class ScenarioConfig:
                               "solver.sqp_max_halvings >= 0")
         # a semi-axis <= 0 divides by zero or flips the keep-outs, a step
         # limit <= 0 freezes or reverses each SQP step, a penalty <= 0 leaves
-        # the fallback's slacks free, and a tube or obstacle of size 0 is no
-        # set
+        # the fallback's slacks free, and a tube, obstacle or disturbance box
+        # of size 0 is no set (the position bound is used in velocity mode)
         for key in ("avoidance.ellipse_a", "avoidance.ellipse_b", "avoidance.robust_ellipse_a",
                     "avoidance.robust_ellipse_b", "solver.sqp_pos_step_limit",
-                    "solver.soft_penalty", "tube.tube_eps", "obstacle.obstacle_radius"):
-            if not getattr(self, key.split(".")[1]) > 0:
+                    "solver.soft_penalty", "tube.tube_eps", "obstacle.obstacle_radius",
+                    "robot.disturbance_bound", "robot.disturbance_pos_bound"):
+            if not getattr(self, key.split(".")[1]) > 0 and not (
+                    key == "robot.disturbance_pos_bound" and self.disturbance_mode == "full"):
                 raise ConfigError(f"{key} must be positive")
         # a negative bound or radius would be read as its magnitude or as an
         # empty range, and a negative tolerance can never be met
-        for key in ("world.robot_radius", "world.finish_threshold", "robot.disturbance_bound",
+        for key in ("world.robot_radius", "world.finish_threshold",
                     "robot.disturbance_pos_bound", "obstacle.obstacle_disturbance_bound",
                     "solver.sqp_step_tol", "solver.sqp_violation_tol"):
             if not getattr(self, key.split(".")[1]) >= 0:
@@ -370,28 +372,25 @@ class EllipseKeepout:
 
 
 @dataclass(frozen=True)
-class EdgeKeepout:
-    """Upper bound on the stage-k lateral position, active only while the
-    longitudinal position of the current iterate lies inside x_range."""
+class BoxKeepout:
+    """Exterior-of-box constraint on the stage-k position: its signed
+    distance from the axis-aligned box its corners span is at least margin,
+    plus the chance margin for sigma like an ellipse's."""
 
     k: int
-    quantity: str
-    x_range: Tuple[float, float]
-    y_max: float
+    quantity: str       # state_pos | coarse_state
+    corners: tuple
+    margin: float
+    p: Optional[float]                 # None for robust (no tightening)
+    sigma: Optional[tuple]             # 2x2 position covariance for chance
     label: str
-
-
-def _box_extent(corners) -> Tuple[float, float, float]:
-    xs = [c[0] for c in corners]
-    ys = [c[1] for c in corners]
-    return min(xs), max(xs), min(ys)
 
 
 def build_rmpc_constraints(cfg: ScenarioConfig, tube_spec, k: int,
                            with_input: bool = True) -> list:
     """Robust-stage constraints for prediction step k: tightened boxes, the
     robust keep-out ellipse around the predicted obstacle, and the robust
-    static-box lower edge."""
+    static box as a keep-out."""
     out: list = []
     for a, ub in zip(tube_spec.Xbar.normals, tube_spec.Xbar.offsets):
         out.append(StageRow(k, "state", tuple(a), float(ub), "xbar_box"))
@@ -400,8 +399,8 @@ def build_rmpc_constraints(cfg: ScenarioConfig, tube_spec, k: int,
             out.append(StageRow(k, "input", tuple(a), float(ub), "ubar_box"))
     out.append(EllipseKeepout(k, "state_pos", cfg.robust_ellipse_a,
                               cfg.robust_ellipse_b, None, None, "robust_ellipse"))
-    x_lo, x_hi, y_lo = _box_extent(cfg.robust_box_corners)
-    out.append(EdgeKeepout(k, "state_pos", (x_lo, x_hi), y_lo, "robust_box_edge"))
+    out.append(BoxKeepout(k, "state_pos", cfg.robust_box_corners, 0.0, None, None,
+                          "robust_box"))
     return out
 
 
@@ -434,14 +433,13 @@ def build_smpc_constraints(cfg: ScenarioConfig, k: int, sigma,
         out.append(StageRow(k, "state", (0.0, 0.0, 1.0, 0.0), cfg.lane_high - g_y, "chance_lane"))
         out.append(StageRow(k, "state", (0.0, 0.0, -1.0, 0.0), -cfg.lane_low - g_y, "chance_lane"))
 
-    # Static box lower edge: robot-radius margin folded into the edge value.
-    x_lo, x_hi, y_lo = _box_extent(cfg.box_corners)
-    edge = y_lo - cfg.robot_radius - g_y
-    out.append(EdgeKeepout(k, pos_quantity, (x_lo, x_hi), edge, "chance_box_edge"))
-
-    # Keep-out ellipse around the predicted obstacle position.
-    out.append(EllipseKeepout(k, pos_quantity, cfg.ellipse_a, cfg.ellipse_b, p,
-                              tuple(map(tuple, pos_sigma)), "chance_ellipse"))
+    # Keep-outs: the static box, by the robot radius, and the ellipse around
+    # the predicted obstacle position.
+    pos_sigma = tuple(map(tuple, pos_sigma))
+    out.append(BoxKeepout(k, pos_quantity, cfg.box_corners, cfg.robot_radius, p, pos_sigma,
+                          "chance_box"))
+    out.append(EllipseKeepout(k, pos_quantity, cfg.ellipse_a, cfg.ellipse_b, p, pos_sigma,
+                              "chance_ellipse"))
 
     if model_kind == "coarse":
         if with_input:

@@ -163,23 +163,45 @@ def _ellipse_g(item, pos):
     return ((pos[0] - c[0]) / d.a) ** 2 + ((pos[1] - c[1]) / d.b) ** 2 - 1.0
 
 
+def _box_sd(desc, pos):
+    """Signed distance of pos from the box the descriptor's corners span."""
+    lo, hi = np.min(desc.corners, axis=0), np.max(desc.corners, axis=0)
+    out = np.maximum(np.maximum(lo - pos, pos - hi), 0.0)
+    if out.any():
+        return float(np.linalg.norm(out))
+    return -float(min(np.min(pos - lo), np.min(hi - pos)))
+
+
 def test_halfplane_gradient_finite_difference(cfg, setup_granular):
-    # the static box's lower edge, p_y <= y_max while p_x lies under the box
-    prob, item = _keepout(cfg, setup_granular, "chance_box_edge", cfg.ns + 2)
+    # the static box as a chance keep-out: beyond its bottom facet, beyond
+    # its lower-left corner and inside it (nearest its left facet), the row
+    # is minus the gradient of the signed distance sd(S y + s) in y, and its
+    # residual b - a.y is sd - margin - gamma with gamma from that gradient
+    prob, item = _keepout(cfg, setup_granular, "chance_box", cfg.ns + 2)
     d = item.desc
-    y = _y_at(item, [0.5 * sum(d.x_range), d.y_max + 0.3])
-    v, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
+    (x_lo, y_lo), (x_hi, y_hi) = np.min(d.corners, axis=0), np.max(d.corners, axis=0)
+    assert d.margin == cfg.robot_radius
 
-    def residual(yy):
-        return d.y_max - (item.S @ yy + item.s)[1]
+    def sd_of_y(yy):
+        return _box_sd(d, item.S @ yy + item.s)
 
-    assert a_nl.shape == (1, prob.n_y)
-    assert np.allclose(a_nl[0], -_fd_gradient(residual, y), atol=1e-7)
-    assert b_nl[0] - a_nl[0] @ y == pytest.approx(residual(y), abs=1e-9)
-    assert v == pytest.approx(0.3, abs=1e-9)
-    # away from the box the edge is inactive: no row and no violation
-    v, a_nl, b_nl = ocp.nonlinear_violation(prob, _y_at(item, [d.x_range[0] - 5.0, 3.0]))
-    assert v == 0.0 and a_nl.shape == (0, prob.n_y) and b_nl.shape == (0,)
+    for pos, normal in ((np.array([0.5 * (x_lo + x_hi), y_lo - 0.7]), [0.0, -1.0]),
+                        (np.array([x_lo - 0.6, y_lo - 0.8]), [-0.6, -0.8]),
+                        (np.array([x_lo + 0.2, y_lo + 0.6]), [-1.0, 0.0])):
+        y = _y_at(item, pos)
+        v, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
+        assert a_nl.shape == (1, prob.n_y)
+        assert np.allclose(a_nl[0], -_fd_gradient(sd_of_y, y), atol=1e-6)
+        assert np.allclose(_fd_gradient(lambda p: _box_sd(d, p), pos), normal, atol=1e-7)
+        expected = _box_sd(d, pos) - d.margin - gamma(normal, np.asarray(d.sigma), d.p)
+        assert b_nl[0] - a_nl[0] @ y == pytest.approx(expected, abs=1e-9)
+        assert v == pytest.approx(max(0.0, -expected), abs=1e-9)
+    # below the bottom facet the row is p_y <= y_lo - robot_radius - gamma_y
+    g_y = gamma([0.0, 1.0], np.asarray(d.sigma), d.p)
+    y = _y_at(item, [0.5 * (x_lo + x_hi), y_lo - 0.7])
+    _, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
+    assert np.allclose(a_nl[0], item.S[1], atol=1e-12)
+    assert b_nl[0] == pytest.approx(y_lo - cfg.robot_radius - g_y - item.s[1], abs=1e-9)
 
 
 def test_ellipse_gradient_finite_difference(cfg, setup_granular):
@@ -233,23 +255,33 @@ def test_covariance_schedule_indexing():
 # ---------------------------------------------------------------------------
 # the batched keep-out evaluator against a per-item reference
 
-EDGE_BUFFER = 0.25     # the box edges' specified x-range widening
-
-
 def _reference_keepouts(descs, S, s, centers, y):
-    """(worst, rows, bounds) of the keep-outs, one item at a time: an ellipse
-    is linearized at the position or, from inside, at its radial projection
-    onto the boundary (the rear face from the exact centre); a box edge
-    applies while p_x lies within its x-range widened by EDGE_BUFFER."""
+    """(worst, rows, bounds) of the keep-outs, one item at a time: a box is
+    linearized at the position, its signed distance's gradient the unit
+    vector from the nearest point outside and the nearest facet's normal
+    inside (along x on a tie, and from the exact centre the lower facet);
+    an ellipse at the position or, from inside, at its radial projection onto
+    the boundary (the rear face from the exact centre)."""
     worst, rows, ubs = 0.0, [], []
     centers = iter(() if centers is None else centers)
     for d, Si, si in zip(descs, S, s):
         pt = Si @ y + si
-        if isinstance(d, sc.EdgeKeepout):
-            if d.x_range[0] - EDGE_BUFFER <= pt[0] <= d.x_range[1] + EDGE_BUFFER:
-                worst = max(worst, float(pt[1] - d.y_max))
-                rows.append(Si[1])
-                ubs.append(d.y_max - si[1])
+        if isinstance(d, sc.BoxKeepout):
+            lo, hi = np.min(d.corners, axis=0), np.max(d.corners, axis=0)
+            out = np.maximum(np.maximum(lo - pt, pt - hi), 0.0)
+            if out.any():
+                sd = float(np.linalg.norm(out))
+                grad = np.where(pt > hi, out, -out) / sd
+            else:
+                rel = pt - (lo + hi) / 2.0
+                depth = (hi - lo) / 2.0 - np.abs(rel)
+                j = 0 if depth[0] <= depth[1] else 1
+                sd, grad = -depth[j], np.zeros(2)
+                grad[j] = 1.0 if rel[j] > 0.0 else -1.0
+            gam = 0.0 if d.p is None else gamma(grad, np.asarray(d.sigma), d.p)
+            worst = max(worst, d.margin + gam - sd)
+            rows.append(-(grad @ Si))
+            ubs.append(sd - d.margin - gam - grad @ (pt - si))
             continue
         c = next(centers, None)
         if c is None:
@@ -281,27 +313,38 @@ _unit = st.floats(0.0, 1.0)
 
 @st.composite
 def _keepout_cases(draw):
-    """Ellipses (robust and chance) and box edges with S y + s placed inside,
-    on, outside or at the centre of each ellipse, and on, just beyond or away
-    from each edge's widened x-range."""
+    """Ellipses and boxes (robust and chance) with S y + s placed inside, on,
+    outside or at the centre of each ellipse, and outside a facet, beyond a
+    corner, on a facet, inside or at the centre of each box."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     n_y = draw(st.integers(1, 6))
-    y = rng.normal(size=n_y)
+    # y = 0 puts every position exactly at its drawn point
+    y = rng.normal(size=n_y) if draw(st.booleans()) else np.zeros(n_y)
     risk = draw(st.floats(0.5, 0.99))
     descs, S, pos, centers = [], [], [], []
     for k in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["robust", "chance", "edge"]))
+        kind = draw(st.sampled_from(["robust", "chance"]))
+        L = 0.3 * rng.normal(size=(2, 2))
+        p, sigma = (None, None) if kind == "robust" else (risk, tuple(map(tuple, L @ L.T)))
         Si = rng.normal(size=(2, n_y))
-        if kind == "edge":
-            lo = draw(st.floats(-5.0, 5.0))
-            hi = lo + draw(st.floats(0.0, 4.0))
-            px = draw(st.sampled_from([lo - EDGE_BUFFER, hi + EDGE_BUFFER,
-                                       lo - EDGE_BUFFER - 1e-6, hi + EDGE_BUFFER + 1e-6,
-                                       0.5 * (lo + hi), lo - 3.0]))
-            Si[0] = 0.0           # keeps p_x exactly at the drawn value
-            descs.append(sc.EdgeKeepout(k, "state_pos", (lo, hi), draw(st.floats(-2.0, 2.0)),
-                                        "box_edge"))
-            p = np.array([px, draw(st.floats(-4.0, 4.0))])
+        if draw(st.booleans()):
+            lo = np.array([draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0))])
+            hi = lo + [draw(st.floats(0.1, 4.0)), draw(st.floats(0.1, 4.0))]
+            inner = lo + (0.05 + 0.9 * np.array([draw(_unit), draw(_unit)])) * (hi - lo)
+            away = 0.05 + 2.0 * np.array([draw(_unit), draw(_unit)])
+            side = np.array([draw(st.sampled_from([-1.0, 1.0])) for _ in range(2)])
+            edge = np.where(side > 0, hi, lo)
+            place = draw(st.sampled_from(["facet", "corner", "on", "inside", "centre"]))
+            pt = {"corner": edge + side * away, "inside": inner, "centre": (lo + hi) / 2.0,
+                  "facet": inner.copy(), "on": inner.copy()}[place]
+            if place in ("facet", "on"):
+                axis = draw(st.integers(0, 1))
+                pt[axis] = edge[axis] + (side[axis] * away[axis] if place == "facet" else 0.0)
+            if place in ("on", "centre") and y.any():
+                Si[:] = 0.0       # so does a zero map
+            corners = ((lo[0], hi[1]), (lo[0], lo[1]), (hi[0], lo[1]), (hi[0], hi[1]))
+            descs.append(sc.BoxKeepout(k, "state_pos", corners, draw(st.floats(0.0, 1.0)),
+                                       p, sigma, f"{kind}_box"))
         else:
             a, b = draw(st.floats(0.3, 3.0)), draw(st.floats(0.3, 3.0))
             c = rng.normal(scale=3.0, size=2)
@@ -309,15 +352,11 @@ def _keepout_cases(draw):
             rho = {"inside": 0.05 + 0.9 * draw(_unit),
                    "outside": 1.05 + 2.0 * draw(_unit)}.get(rho, rho)
             theta = 2.0 * np.pi * draw(_unit)
-            L = 0.3 * rng.normal(size=(2, 2))
-            sigma = None if kind == "robust" else tuple(map(tuple, L @ L.T))
-            descs.append(sc.EllipseKeepout(k, "state_pos", a, b,
-                                           None if kind == "robust" else risk, sigma,
-                                           f"{kind}_ellipse"))
+            descs.append(sc.EllipseKeepout(k, "state_pos", a, b, p, sigma, f"{kind}_ellipse"))
             centers.append(c)
-            p = c + rho * np.array([a * np.cos(theta), b * np.sin(theta)])
+            pt = c + rho * np.array([a * np.cos(theta), b * np.sin(theta)])
         S.append(Si)
-        pos.append(p)
+        pos.append(pt)
     S = np.array(S)
     s = np.array(pos) - S @ y
     centers = np.array(centers).reshape(-1, 2) if draw(st.booleans()) else None

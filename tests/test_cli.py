@@ -50,6 +50,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     for key, bad in (("solver.sqp_violation_tol", "-1"), ("solver.sqp_step_tol", "-1"),
                      ("robot.disturbance_bound", "-0.1"),
                      ("robot.disturbance_pos_bound", "-0.1"),
+                     ("robot.disturbance_bound", "0"), ("robot.disturbance_pos_bound", "0"),
                      ("world.robot_radius", "-1"), ("world.finish_threshold", "-1"),
                      ("tube.tube_eps", "0"), ("obstacle.obstacle_radius", "0"),
                      ("obstacle.obstacle_disturbance_bound", "-1")):

@@ -190,21 +190,21 @@ def test_constraint_census(cfg, setup_granular, setup_rsmpc, setup_rmpc):
     assert c["ubar_box"] == 4 * cfg.ns
     assert c["chance_lane"] == 2 * (cfg.nl + 1)
     assert c["coarse_input_box"] == 4 * cfg.nl
-    assert c["robust_ellipse"] == cfg.ns + 1
-    assert c["chance_ellipse"] == cfg.nl + 1
+    assert c["robust_ellipse"] == c["robust_box"] == cfg.ns + 1
+    assert c["chance_ellipse"] == c["chance_box"] == cfg.nl + 1
     assert c["coupling"] == 1
 
     c = _census(setup_rsmpc)
     assert c["tube_membership"] == n_mem
     assert c["chance_velocity"] == 4 * (cfg.nl + 1)
-    assert c["robust_ellipse"] == cfg.ns + 1
-    assert c["chance_ellipse"] == cfg.nl + 1
+    assert c["robust_ellipse"] == c["robust_box"] == cfg.ns + 1
+    assert c["chance_ellipse"] == c["chance_box"] == cfg.nl + 1
     assert "coupling" not in c
 
     c = _census(setup_rmpc)
     assert c["xbar_box"] == 6 * (cfg.n_total + 1)
-    assert c["robust_ellipse"] == cfg.n_total + 1
-    assert "chance_ellipse" not in c and "coupling" not in c
+    assert c["robust_ellipse"] == c["robust_box"] == cfg.n_total + 1
+    assert "chance_ellipse" not in c and "chance_box" not in c and "coupling" not in c
 
 
 def test_membership_rows_cover_tube(cfg, setup_granular):
@@ -433,10 +433,10 @@ def test_solution_trace_records_iterations(cfg, setup_granular):
     assert all("violation" in row and "objective" in row for row in trace)
 
 
-def test_sqp_evaluates_each_point_once(cfg, setup_granular, monkeypatch):
-    # over a traced granular episode (two of its steps take the soft
-    # fallback), no solve_sqp call scores a point twice: each result is
-    # carried forward, and the reported violation is the executed plan's own
+def test_sqp_evaluates_each_point_once(cfg, setup_rmpc, monkeypatch):
+    # over a traced single-rmpc episode (seed 81, six of whose steps take
+    # the soft fallback), no solve_sqp call scores a point twice: each result
+    # is carried forward, and the reported violation is the executed plan's own
     evaluate, solve = ocp.nonlinear_violation, ocp.solve_sqp
     seen, repeats = set(), []
     calls = 0
@@ -458,15 +458,15 @@ def test_sqp_evaluates_each_point_once(cfg, setup_granular, monkeypatch):
 
     monkeypatch.setattr(ocp, "nonlinear_violation", counted)
     monkeypatch.setattr(ocp, "solve_sqp", per_solve)
-    rec = simulate.run_closed_loop(cfg, "granular", 0, setup=setup_granular, trace=[])
+    rec = simulate.run_closed_loop(cfg, "single-rmpc", 81, setup=setup_rmpc, trace=[])
     assert rec.softened_steps > 0
     assert calls >= rec.steps and not repeats
 
 
-def test_step_status_names_a_violating_plan(cfg, setup_granular, monkeypatch):
-    # granular seed 0 executes two softened plans that still violate their
-    # rows: they must read "violating", and "max-iter" is left for a feasible
-    # plan stopped at the iteration cap
+def test_step_status_names_a_violating_plan(cfg, setup_rmpc, monkeypatch):
+    # single-rmpc seed 81 executes six softened plans that still violate
+    # their rows: they must read "violating", and "max-iter" is left for a
+    # feasible plan stopped at the iteration cap
     solve, sols = ocp.solve_sqp, []
 
     def recorded(*args, **kwargs):
@@ -474,7 +474,7 @@ def test_step_status_names_a_violating_plan(cfg, setup_granular, monkeypatch):
         return sols[-1]
 
     monkeypatch.setattr(ocp, "solve_sqp", recorded)
-    rec = simulate.run_closed_loop(cfg, "granular", 0, setup=setup_granular)
+    rec = simulate.run_closed_loop(cfg, "single-rmpc", 81, setup=setup_rmpc)
     tol = cfg.sqp_violation_tol
     assert [e.status for e in rec.entries] == [s.status for s in sols]
     assert sum(s.violation > tol for s in sols) >= 2
@@ -482,3 +482,19 @@ def test_step_status_names_a_violating_plan(cfg, setup_granular, monkeypatch):
         assert (s.status == "violating") == (s.violation > tol)
         if s.status == "max-iter":
             assert s.iterations == cfg.sqp_max_iter
+
+
+def test_every_keepout_is_a_row_at_every_evaluation(cfg, setup_granular, monkeypatch):
+    # with an obstacle every keep-out, box or ellipse, gives one row at every
+    # point a granular-overtake episode evaluates, so the QP rows keep their
+    # numbering from one solve to the next
+    evaluate, rows = ocp.nonlinear_violation, []
+
+    def counted(prob, y):
+        out = evaluate(prob, y)
+        rows.append(len(out[2]))
+        return out
+
+    monkeypatch.setattr(ocp, "nonlinear_violation", counted)
+    simulate.run_closed_loop(cfg, "granular", 0, setup=setup_granular)
+    assert rows and set(rows) == {len(setup_granular.keepouts.labels)}

@@ -25,13 +25,15 @@ def configs(draw):
     validated fields within their ranges, and both values of each mode."""
     ns, nl = draw(st.tuples(st.integers(0, 40), st.integers(0, 40))
                   .filter(lambda h: h[0] + h[1] > 0))
+    mode = draw(st.sampled_from(("velocity", "full")))
     return sc.ScenarioConfig(
         start=draw(_floats(2)), target=draw(_floats(2)),
         robot_radius=draw(NONNEGATIVE), max_steps=draw(st.integers(1, 10 ** 6)),
         dt=draw(st.floats(min_value=1e-300, max_value=1e300)),
-        disturbance_bound=draw(NONNEGATIVE),
-        disturbance_pos_bound=draw(NONNEGATIVE),
-        disturbance_mode=draw(st.sampled_from(("velocity", "full"))),
+        disturbance_bound=draw(POSITIVE),
+        # the position bound sizes the disturbance box only in velocity mode
+        disturbance_pos_bound=draw(POSITIVE if mode == "velocity" else NONNEGATIVE),
+        disturbance_mode=mode,
         realized_disturbance=draw(st.sampled_from(("uniform", "truncated_gaussian"))),
         obstacle_velocity=draw(_floats(2)),
         box_corners=draw(st.tuples(*[_floats(2)] * 4)),
@@ -121,23 +123,26 @@ def test_config_validation():
         with pytest.raises(sc.ConfigError, match="sigma_w_diag"):
             sc.ScenarioConfig(sigma_w_diag=bad)
     # a semi-axis, step limit or penalty <= 0 would reach the solver as a
-    # division by zero, a frozen step or free slacks, and a tube or obstacle
-    # of size 0 is no set
+    # division by zero, a frozen step or free slacks, and a tube, obstacle or
+    # disturbance box of size 0 is no set
     for field in ("ellipse_a", "ellipse_b", "robust_ellipse_a", "robust_ellipse_b",
-                  "sqp_pos_step_limit", "soft_penalty", "tube_eps", "obstacle_radius"):
+                  "sqp_pos_step_limit", "soft_penalty", "tube_eps", "obstacle_radius",
+                  "disturbance_bound", "disturbance_pos_bound"):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(sc.ConfigError, match=f"\\.{field} must be positive"):
                 sc.ScenarioConfig(**{field: bad})
         assert getattr(sc.ScenarioConfig(**{field: 1e-9}), field) == 1e-9
     # a negative bound would run as its magnitude (or give numpy an empty
-    # range), and a negative tolerance can never be met
-    for field in ("robot_radius", "finish_threshold", "disturbance_bound",
-                  "disturbance_pos_bound", "obstacle_disturbance_bound", "sqp_step_tol",
-                  "sqp_violation_tol"):
+    # range), and a negative tolerance can never be met; the disturbance
+    # box's position bound, unused in full mode, may be zero there
+    for field, extra in (("robot_radius", {}), ("finish_threshold", {}),
+                         ("disturbance_pos_bound", {"disturbance_mode": "full"}),
+                         ("obstacle_disturbance_bound", {}), ("sqp_step_tol", {}),
+                         ("sqp_violation_tol", {})):
         for bad in (-1e-9, -1.0, float("nan")):
             with pytest.raises(sc.ConfigError, match=f"\\.{field} must be nonnegative"):
-                sc.ScenarioConfig(**{field: bad})
-        assert getattr(sc.ScenarioConfig(**{field: 0.0}), field) == 0.0
+                sc.ScenarioConfig(**{field: bad}, **extra)
+        assert getattr(sc.ScenarioConfig(**{field: 0.0}, **extra), field) == 0.0
     for field, n in (("q_diag", 4), ("r_diag", 2), ("qc_diag", 2), ("rc_diag", 2)):
         for bad in ((1.0,) * (n - 1), (1.0,) * (n + 1), 1.0, ("a",) * n, ((1.0,) * n,)):
             with pytest.raises(sc.ConfigError, match=f"cost.{field} must be {n} floats"):
@@ -206,9 +211,12 @@ def test_rmpc_constraints_content(cfg, tube):
     assert labels.count("xbar_box") == 6
     assert labels.count("ubar_box") == 4
     assert labels.count("robust_ellipse") == 1
-    assert labels.count("robust_box_edge") == 1
+    assert labels.count("robust_box") == 1
     ell = [r for r in rows if r.label == "robust_ellipse"][0]
     assert ell.a == cfg.robust_ellipse_a and ell.p is None
+    box = [r for r in rows if r.label == "robust_box"][0]
+    assert box.corners == cfg.robust_box_corners
+    assert box.margin == 0.0 and box.p is None and box.sigma is None
     assert all(r.k == 3 for r in rows)
 
 
