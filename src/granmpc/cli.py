@@ -109,6 +109,8 @@ def _cmd_batch(args) -> int:
     """run and montecarlo; run also writes each episode's JSONL."""
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
     setup = ocp.MethodSetup.build(cfg, args.method)
@@ -136,6 +138,8 @@ def _cmd_batch(args) -> int:
 def _cmd_compare(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be at least 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     cfg = _load_config(args)
     out = _prepare_out(args, cfg)
     report = simulate.compare_methods(cfg, args.runs, args.seed)

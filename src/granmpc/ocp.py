@@ -656,11 +656,11 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
     The solver settings (``sqp_*`` and ``soft_penalty``) come from the
     setup's config, ``prob.setup.cfg``.
 
-    ``nonlinear_violation`` scores each point once: the start, each
-    line-search trial (one that rounds back onto the current point reuses its
-    result) and the halved point when the halvings run out. The accepted
-    point's result gives the next QP's keep-out rows, the line search's
-    reference, the best-iterate and stall tests, the trace row and the status.
+    Each iteration takes its trust-region-damped step, and
+    ``nonlinear_violation`` scores each point once: the start and each
+    iterate (one that rounds back onto the current point reuses its result).
+    An iterate's result gives the next QP's keep-out rows, the best-iterate
+    test, the trace row and the status.
     """
     cfg = prob.setup.cfg
     t_start = time.perf_counter()
@@ -671,9 +671,6 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
         y, active = cold_start(prob), []
     softened = False
     qp_total = 0
-    it = 0
-    stall = 0
-    v_last = np.inf
     v, a_nl, b_nl = nonlinear_violation(prob, y)
     # the best iterate so far (see the end) has the least key; a tie keeps
     # the earlier point
@@ -687,8 +684,7 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
         sol = qp_solve(prob.H, prob.f, A, b, prob.a_eq, prob.b_eq, active=active,
                        factor=prob.setup.J)
         qp_total += sol.iterations
-        soft_used = sol.status != "optimal"
-        if soft_used:
+        if sol.status != "optimal":
             soft = _solve_soft(prob, a_nl, b_nl, cfg.soft_penalty, active)
             qp_total += soft.iterations
             if soft.status != "optimal":
@@ -713,16 +709,9 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
         max_disp = float(np.max(np.abs(prob.positions(y + step) - prob.positions(y))))
         if max_disp > cfg.sqp_pos_step_limit:
             t = cfg.sqp_pos_step_limit / max_disp
-        # line search: halve until the true violation does not grow; when
-        # the halvings run out, the point one halving further is taken
-        v_ok = max(v, 0.0) + cfg.sqp_violation_tol
-        for h in range(cfg.sqp_max_halvings + 1):
-            y_try = y + t * step
-            ev = (v, a_nl, b_nl) if np.array_equal(y_try, y) else nonlinear_violation(prob, y_try)
-            if h == cfg.sqp_max_halvings or ev[0] <= v_ok:
-                break
-            t *= 0.5
-        y, (v, a_nl, b_nl) = y_try, ev
+        y_next = y + t * step
+        if not np.array_equal(y_next, y):
+            y, (v, a_nl, b_nl) = y_next, nonlinear_violation(prob, y_next)
         key = rank(y, v)
         if key < best_key:
             best_key, best_y, best_v = key, y, v
@@ -732,14 +721,6 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
                           "qp_iterations": sol.iterations})
         if step_norm * t < cfg.sqp_step_tol:
             break
-        # when the problem is genuinely infeasible the softened iterates can
-        # cycle without reducing the true violation; stop paddling once no
-        # progress is made for two iterations
-        if soft_used:
-            stall = stall + 1 if v >= v_last - 1e-4 else 0
-            v_last = min(v_last, v)
-            if stall >= 2:
-                break
     # execute the best iterate of the solve, not necessarily the last one,
     # since softened QPs drift toward the keep-outs (slack minimization
     # rewards approaching them): feasible with lowest objective when any
@@ -748,8 +729,7 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
     # fallback (ROADMAP item 3)
     if best_v > cfg.sqp_violation_tol:
         status = "violating"
-    elif it < cfg.sqp_max_iter or step_norm * t < cfg.sqp_step_tol:
-        # at the cap the last step may still have been tiny
+    elif step_norm * t < cfg.sqp_step_tol:
         status = "converged"
     else:
         status = "max-iter"

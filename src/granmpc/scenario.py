@@ -1,4 +1,5 @@
-"""Benchmark world: robot models, obstacles, constants, and constraint builders.
+"""Benchmark world: configuration, robot models, obstacles, constants,
+constraint builders, and the JSON form of configs, records and sets.
 
 All defaults reproduce the published mobile-robot collision-avoidance study:
 a 4-state double-integrator robot must travel from (0,0) to (19,0) through a
@@ -10,7 +11,7 @@ from __future__ import annotations
 import io
 import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -23,6 +24,26 @@ from .sets import HPolytope, Zonotope
 
 class ConfigError(ValueError):
     pass
+
+
+def plain(obj):
+    """JSON-ready form of a config section, record, summary, tube, schedule
+    or set: a dataclass becomes a dict of its fields (a set also gets its
+    "type" tag), an array or tuple a list, a numpy scalar a Python number."""
+    if is_dataclass(obj):
+        out = {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
+        if isinstance(obj, (HPolytope, Zonotope)):
+            out["type"] = type(obj).__name__.lower()
+        return out
+    if isinstance(obj, dict):
+        return {k: plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 class _Loader(yaml.SafeLoader):
@@ -92,7 +113,6 @@ class ScenarioConfig:
     sqp_max_iter: int = 30
     sqp_step_tol: float = 1e-6
     sqp_violation_tol: float = 1e-6
-    sqp_max_halvings: int = 8
     sqp_pos_step_limit: float = 0.5
     soft_penalty: float = 1e6
 
@@ -117,9 +137,8 @@ class ScenarioConfig:
         if np.any(np.asarray(self.sigma_w_diag) < 0) or self.detailed_sigma_std < 0:
             raise ConfigError("stochastic.sigma_w_diag must be two nonnegative floats and "
                               "stochastic.detailed_sigma_std nonnegative")
-        if self.sqp_max_iter < 1 or self.sqp_max_halvings < 0:
-            raise ConfigError("solver.sqp_max_iter must be >= 1 and "
-                              "solver.sqp_max_halvings >= 0")
+        if self.sqp_max_iter < 1:
+            raise ConfigError("solver.sqp_max_iter must be >= 1")
         # a semi-axis <= 0 divides by zero or flips the keep-outs, a step
         # limit <= 0 freezes or reverses each SQP step, a penalty <= 0 leaves
         # the fallback's slacks free, and a tube, obstacle or disturbance box
@@ -161,19 +180,17 @@ class ScenarioConfig:
         "horizons": ("ns", "nl"),
         "tube": ("tube_eps",),
         "solver": ("sqp_max_iter", "sqp_step_tol", "sqp_violation_tol",
-                   "sqp_max_halvings", "sqp_pos_step_limit", "soft_penalty"),
+                   "sqp_pos_step_limit", "soft_penalty"),
     }
 
     def to_dict(self) -> dict:
-        def plain(v):
-            if isinstance(v, tuple):
-                return [plain(x) for x in v]
-            return v
         return {section: {k: plain(getattr(self, k)) for k in keys}
                 for section, keys in self._LAYOUT.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config must be a table of sections, not {type(data).__name__}")
         known = {k: section for section, keys in cls._LAYOUT.items() for k in keys}
         kwargs = {}
         for section, content in data.items():
@@ -192,10 +209,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_yaml(cls, text: str) -> "ScenarioConfig":
-        data = yaml.load(io.StringIO(text), Loader=_Loader)
-        if data is None:
-            data = {}
-        return cls.from_dict(data)
+        data = _parse(text, "the config")
+        return cls.from_dict({} if data is None else data)
 
     def with_overrides(self, overrides: dict) -> "ScenarioConfig":
         """Apply dotted section.key=value overrides; unknown keys rejected."""
@@ -204,8 +219,16 @@ class ScenarioConfig:
             parts = dotted.split(".")
             if len(parts) != 2 or parts[0] not in self._LAYOUT or parts[1] not in self._LAYOUT[parts[0]]:
                 raise ConfigError(f"unknown config key {dotted!r}")
-            data[parts[0]][parts[1]] = yaml.load(str(value), Loader=_Loader)
+            data[parts[0]][parts[1]] = _parse(str(value), f"the value of {dotted}")
         return self.from_dict(data)
+
+
+def _parse(text: str, what: str):
+    """YAML text as data; a parse error is a one-line ConfigError naming what."""
+    try:
+        return yaml.load(io.StringIO(text), Loader=_Loader)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{what} is not YAML: {' '.join(str(exc).split())}") from None
 
 
 def _has_kind(value, default) -> bool:

@@ -1,5 +1,5 @@
 """Closed-loop simulation, Monte Carlo batches, metric aggregation, and the
-JSON form of records, summaries and sets.
+JSON, JSONL and CSV files of records, summaries and sets.
 
 Each run owns two RNG streams (plant disturbance, obstacle disturbance)
 spawned from its seed, so disturbance sequences are independent of solver
@@ -11,40 +11,19 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from . import ocp, scenario as sc
 from .models import step as model_step
-from .sets import HPolytope, Zonotope
 
 METHODS = ocp.METHODS
 
 # StepEntry fields that hold wall-clock times: the JSONL keeps them, the
 # canonical record bytes leave them out
 TIMING_FIELDS = ("solve_ms",)
-
-
-def plain(obj):
-    """JSON-ready form of a record, summary, tube, schedule or set: a
-    dataclass becomes a dict of its fields (a set also gets its "type" tag),
-    an array or tuple a list, a numpy scalar a Python number."""
-    if is_dataclass(obj):
-        out = {f.name: plain(getattr(obj, f.name)) for f in fields(obj)}
-        if isinstance(obj, (HPolytope, Zonotope)):
-            out["type"] = type(obj).__name__.lower()
-        return out
-    if isinstance(obj, dict):
-        return {k: plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
 
 
 @dataclass
@@ -98,7 +77,7 @@ class RunRecord:
     def to_dict(self, include_timing: bool = True) -> dict:
         """Every field, plus softened_steps; without timing, the entries
         drop their TIMING_FIELDS."""
-        out = plain(self)
+        out = sc.plain(self)
         out["softened_steps"] = self.softened_steps
         if not include_timing:
             for entry in out["entries"]:
@@ -291,7 +270,7 @@ def write_summary_csv(records: List[RunRecord], path) -> None:
 
 
 def write_json(data, path) -> None:
-    """Indented, key-sorted JSON of plain(data)."""
+    """Indented, key-sorted JSON of ``scenario.plain(data)``."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plain(data), fh, indent=2, sort_keys=True)
+        json.dump(sc.plain(data), fh, indent=2, sort_keys=True)
         fh.write("\n")

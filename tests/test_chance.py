@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import granmpc.scenario as sc
 from granmpc import ocp
-from granmpc.simulate import plain
 from granmpc.chance import (CovarianceSchedule, erfinv, gamma,
                             propagate_covariance)
 
@@ -247,7 +246,7 @@ def test_covariance_schedule_indexing():
     sched = CovarianceSchedule([np.eye(2), 2 * np.eye(2)], np.eye(2), np.eye(2))
     assert len(sched.sigmas) == 2
     assert np.allclose(sched[1], 2 * np.eye(2))
-    d = plain(sched)
+    d = sc.plain(sched)
     assert set(d) == {"sigmas", "phi_c", "gc_sigma_gcT"}
     assert d["sigmas"] == [np.eye(2).tolist(), (2 * np.eye(2)).tolist()]
 

@@ -20,6 +20,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # found before the output directory is made; past argparse, each is
     # reported on one line
     out = tmp_path / "o"
+    # config files that are no table of sections, no YAML, or set a
+    # removed key
+    configs = []
+    for i, text in enumerate(("- 1\n", "7\n", "world: {start: [0, 0\n",
+                              "solver: {sqp_max_halvings: 8}\n")):
+        configs.append(tmp_path / f"bad{i}.yaml")
+        configs[-1].write_text(text, encoding="utf-8")
     assert main(["run", "--jobs", "0", "--out", str(out)]) == 2
     assert main(["run", "--method", "nonsense", "--out", str(out)]) == 2
     assert main(["no-such-command"]) == 2
@@ -41,11 +48,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  ["run", "--set", "horizons.ns=1.5"], ["run", "--set", "stochastic.risk=[1]"],
                  ["run", "--set", "world.target=5"], ["run", "--set", "world.lane_high=abc"],
                  ["run", "--set", "obstacle.obstacle_start=[1]"],
-                 ["run", "--set", "gains.k_gain=3"]):
+                 ["run", "--set", "gains.k_gain=3"],
+                 *(["build-sets", "--config", str(path)] for path in configs),
+                 ["run", "--seed", "-1"], ["compare", "--seed", "-1"]):
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+    # an override that is no YAML names its key
+    assert main(["build-sets", "--set", "world.start=[0,", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the value of world.start ") and err.count("\n") == 1, err
     # a size, bound or tolerance out of its range names its key
     for key, bad in (("solver.sqp_violation_tol", "-1"), ("solver.sqp_step_tol", "-1"),
                      ("robot.disturbance_bound", "-0.1"),

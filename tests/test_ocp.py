@@ -463,6 +463,41 @@ def test_sqp_evaluates_each_point_once(cfg, setup_rmpc, monkeypatch):
     assert calls >= rec.steps and not repeats
 
 
+@pytest.mark.parametrize("method, fixture, seed", [("granular", "setup_granular", 0),
+                                                   ("single-rmpc", "setup_rmpc", 81)])
+def test_sqp_executes_the_best_scored_point(cfg, method, fixture, seed, request,
+                                            monkeypatch):
+    # over whole episodes (single-rmpc seed 81 reaches the soft QP), each
+    # solve executes the best point it scored, the start included: the
+    # feasible one of least objective if any was feasible, otherwise the
+    # least violating one, the earlier of equals
+    setup = request.getfixturevalue(fixture)
+    evaluate, solve = ocp.nonlinear_violation, ocp.solve_sqp
+    scored, solves = [], 0
+
+    def scoring(prob, y):
+        out = evaluate(prob, y)
+        scored.append((np.array(y), out[0]))
+        return out
+
+    def checked(prob, *args, **kwargs):
+        nonlocal solves
+        scored.clear()
+        sol = solve(prob, *args, **kwargs)
+        tol = cfg.sqp_violation_tol
+        keys = [(0, prob.objective(y)) if v <= tol else (1, v) for y, v in scored]
+        best_y, best_v = scored[keys.index(min(keys))]
+        assert np.array_equal(sol.y, best_y) and sol.violation == best_v
+        solves += 1
+        return sol
+
+    monkeypatch.setattr(ocp, "nonlinear_violation", scoring)
+    monkeypatch.setattr(ocp, "solve_sqp", checked)
+    rec = simulate.run_closed_loop(cfg, method, seed, setup=setup)
+    assert solves == rec.steps
+    assert (rec.softened_steps > 0) == (method == "single-rmpc")
+
+
 def test_step_status_names_a_violating_plan(cfg, setup_rmpc, monkeypatch):
     # single-rmpc seed 81 executes six softened plans that still violate
     # their rows: they must read "violating", and "max-iter" is left for a

@@ -97,9 +97,11 @@ def test_overrides_reject_unknown_key(cfg):
         cfg.with_overrides({"robot.warp_drive": "1"})
     with pytest.raises(sc.ConfigError):
         cfg.with_overrides({"nonsense": "1"})
-    # a key nothing read was removed, so overriding it is an error, not a no-op
-    with pytest.raises(sc.ConfigError):
-        cfg.with_overrides({"tube.generator_cap": "8"})
+    # a removed key (the generator cap nothing read, the line search's
+    # halvings) is an error to override, not a no-op
+    for key in ("tube.generator_cap", "solver.sqp_max_halvings"):
+        with pytest.raises(sc.ConfigError, match="unknown config key"):
+            cfg.with_overrides({key: "8"})
 
 
 def test_config_validation():
@@ -111,11 +113,10 @@ def test_config_validation():
         sc.ScenarioConfig(disturbance_mode="sideways")
     with pytest.raises(sc.ConfigError):
         sc.ScenarioConfig(dt=-0.1)
-    # with no SQP iteration the unsolved start would be executed, and with no
-    # line-search trial no point would be taken
+    # with no SQP iteration the unsolved start would be executed
     for field, bad, edge in (("sigma_w_diag", (0.1, -0.01), (0.0, 0.0)),
                              ("detailed_sigma_std", -0.1, 0.0),
-                             ("sqp_max_iter", 0, 1), ("sqp_max_halvings", -1, 0)):
+                             ("sqp_max_iter", 0, 1)):
         with pytest.raises(sc.ConfigError, match=field):
             sc.ScenarioConfig(**{field: bad})
         assert getattr(sc.ScenarioConfig(**{field: edge}), field) == edge

@@ -11,7 +11,7 @@ import pytest
 import granmpc.scenario as sc
 from granmpc import ocp, simulate
 from granmpc.simulate import (TIMING_FIELDS, MonteCarloSummary, RunRecord, StepEntry,
-                              canonical_record_bytes, monte_carlo, plain,
+                              canonical_record_bytes, monte_carlo,
                               run_closed_loop, summarize)
 
 
@@ -214,8 +214,8 @@ def test_plain_converts_arrays_tuples_and_numpy_scalars():
         f: np.floating
         b: np.bool_
 
-    d = plain(Item(np.eye(2), (1, (2.0, np.float64(0.5))), np.int64(3),
-                   np.float64(0.25), np.bool_(True)))
+    d = sc.plain(Item(np.eye(2), (1, (2.0, np.float64(0.5))), np.int64(3),
+                      np.float64(0.25), np.bool_(True)))
     assert d == {"a": [[1.0, 0.0], [0.0, 1.0]], "t": [1, [2.0, 0.5]], "n": 3,
                  "f": 0.25, "b": True}
     assert [type(d[k]) for k in ("n", "f", "b")] == [int, float, bool]

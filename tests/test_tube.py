@@ -7,7 +7,6 @@ import pytest
 import granmpc.scenario as sc
 from granmpc.sets import (EmptySetError, Zonotope, linear_map, minkowski_sum,
                           support)
-from granmpc.simulate import plain
 from granmpc.tube import build_tube
 
 
@@ -67,7 +66,7 @@ def test_build_tube_empty_tightening_raises(cfg):
 
 
 def test_tube_json_roundtrip_fields(tube):
-    d = plain(tube)
+    d = sc.plain(tube)
     assert set(d) == {"Z", "KZ", "Xbar", "Ubar", "K", "Phi", "alpha", "s"}
     assert d["s"] == tube.s
     assert np.allclose(d["K"], tube.K)
