@@ -616,8 +616,10 @@ def shift_warm_start(prob: OcpProblem, prev: "OcpSolution") -> np.ndarray:
 @dataclass
 class OcpSolution:
     y: np.ndarray
-    # converged | max-iter (feasible, stopped at max_iter still moving) |
-    # violating (executed plan violates by more than violation_tol) | infeasible
+    # converged (a step below sqp_step_tol, or a full feasible QP step
+    # certified a KKT point by _certified) | max-iter (feasible, stopped at
+    # max_iter still moving) | violating (executed plan violates by more
+    # than violation_tol) | infeasible
     status: str
     iterations: int
     qp_iterations: int
@@ -661,6 +663,15 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
     iterate (one that rounds back onto the current point reuses its result).
     An iterate's result gives the next QP's keep-out rows, the best-iterate
     test, the trace row and the status.
+
+    The solve is ``converged`` when a step is shorter than sqp_step_tol, or
+    one QP earlier (the termination test of Nocedal & Wright, Numerical
+    Optimization, 2nd ed., 18.3) when a hard QP's full step is feasible and
+    ``_certified`` as a KKT point of the nonlinear problem. With no keep-out
+    row binding the certificate is exact: that QP's optimum is then the
+    optimum over the static and coupling rows alone, a relaxation of the
+    problem, and being feasible it is the problem's optimum, which the next
+    QP would only return again.
     """
     cfg = prob.setup.cfg
     t_start = time.perf_counter()
@@ -710,6 +721,7 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
         if max_disp > cfg.sqp_pos_step_limit:
             t = cfg.sqp_pos_step_limit / max_disp
         y_next = y + t * step
+        a_old = a_nl
         if not np.array_equal(y_next, y):
             y, (v, a_nl, b_nl) = y_next, nonlinear_violation(prob, y_next)
         key = rank(y, v)
@@ -719,7 +731,10 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
             trace.append({"iter": it, "step_norm": step_norm, "damping": t,
                           "objective": prob.objective(y), "violation": v,
                           "qp_iterations": sol.iterations})
-        if step_norm * t < cfg.sqp_step_tol:
+        converged = step_norm * t < cfg.sqp_step_tol or (
+            sol.status == "optimal" and t == 1.0 and v <= cfg.sqp_violation_tol
+            and _certified(prob, sol.duals_ineq[len(prob.b_static):], a_old, a_nl, b_nl, y))
+        if converged:
             break
     # execute the best iterate of the solve, not necessarily the last one,
     # since softened QPs drift toward the keep-outs (slack minimization
@@ -729,11 +744,28 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
     # fallback (ROADMAP item 3)
     if best_v > cfg.sqp_violation_tol:
         status = "violating"
-    elif step_norm * t < cfg.sqp_step_tol:
+    elif converged:
         status = "converged"
     else:
         status = "max-iter"
     return _make_solution(prob, best_y, status, it, qp_total, softened, t_start, active, best_v)
+
+
+def _certified(prob: OcpProblem, mu, a_old, a_new, b_new, y) -> bool:
+    """Whether y, the full step of a QP with keep-out multipliers mu on the
+    rows a_old, is a KKT point of the nonlinear problem with a_new, b_new its
+    rows relinearized at y.
+
+    The QP's multipliers stay valid at y but for the rows' change of normal:
+    the stationarity residual is r = (a_new - a_old)' mu over the rows with
+    mu > 0, and the active rows must stay met with equality. Both are taken
+    below sqp_step_tol, r as the Newton step H^{-1} r = J'J r it would cause.
+    """
+    act = mu > 0.0
+    r = (a_new[act] - a_old[act]).T @ mu[act]
+    J, tol = prob.setup.J, prob.setup.cfg.sqp_step_tol
+    return (float(np.max(np.abs(J.T @ (J @ r)), initial=0.0)) < tol
+            and float(np.max(np.abs(a_new[act] @ y - b_new[act]), initial=0.0)) < tol)
 
 
 def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,

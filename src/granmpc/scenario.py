@@ -47,13 +47,32 @@ def plain(obj):
 
 
 class _Loader(yaml.SafeLoader):
-    """YAML 1.1 that also reads Python's exponent floats (1e-05) as floats."""
+    """YAML 1.1 that also reads Python's exponent floats (1e-05) as floats
+    and refuses a mapping that repeats a key (``_mapping``)."""
+
+
+def _mapping(loader, node) -> dict:
+    """A mapping, at any depth, that repeats none of its own keys: PyYAML
+    would keep the last value. A key a ``<<`` merge brings in may still be
+    overridden."""
+    own = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+    mapping = loader.construct_mapping(node)
+    seen = set()
+    for k in own:
+        key = loader.construct_object(k)        # built just above, so cached
+        if key in seen:
+            raise yaml.constructor.ConstructorError(
+                "while constructing a mapping", node.start_mark,
+                f"found repeated key {key!r}", k.start_mark)
+        seen.add(key)
+    return mapping
 
 
 _Loader.add_implicit_resolver(
     "tag:yaml.org,2002:float",
     re.compile(r"^[-+]?[0-9][0-9_]*(?:\.[0-9_]*)?[eE][-+]?[0-9]+$"),
     list("-+0123456789"))
+_Loader.add_constructor("tag:yaml.org,2002:map", _mapping)
 
 
 @dataclass
@@ -263,7 +282,11 @@ def load_config(path: Optional[str]) -> ScenarioConfig:
     if path is None:
         return ScenarioConfig()
     with open(path, "r", encoding="utf-8") as fh:
-        return ScenarioConfig.from_yaml(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8: {exc.reason}") from None
+    return ScenarioConfig.from_yaml(text)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,10 @@ config, and seeds 0-99 of granular with the obstacle in the adjacent lane
 (``obstacle.obstacle_start=[6,-3]``, the benchmark's granular-cruise). Prints
 the sha256 of each episode's ``canonical_record_bytes``, one line each, then
 one outcome line per battery (passes, reached, collided, mean cumulative
-cost, ``violating`` steps, softened steps and QP iterations), then the
-sha256 of the sorted map from episode to digest. Two trees whose last lines
-agree write the same records; the outcome lines compare two trees that do
-not.
+cost, ``violating`` steps, softened steps, QP iterations and SQP
+iterations), then the sha256 of the sorted map from episode to digest. Two
+trees whose last lines agree write the same records; the outcome lines
+compare two trees that do not.
 
     PYTHONPATH=src python tests/record_digests.py
 
@@ -38,7 +38,8 @@ def outcome(name: str, records) -> str:
             f" mean_cost {np.mean([r.cumulative_cost for r in records]):.4f}"
             f" violating {sum(e.status == 'violating' for e in entries)}"
             f" softened {sum(e.softened for e in entries)}"
-            f" qp_iterations {sum(e.qp_iterations for e in entries)}")
+            f" qp_iterations {sum(e.qp_iterations for e in entries)}"
+            f" sqp_iterations {sum(e.sqp_iterations for e in entries)}")
 
 
 def main() -> None:

@@ -20,13 +20,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # found before the output directory is made; past argparse, each is
     # reported on one line
     out = tmp_path / "o"
-    # config files that are no table of sections, no YAML, or set a
-    # removed key
+    # config files that are no table of sections, no YAML, set a removed
+    # key, repeat a section or a key, or are not UTF-8
     configs = []
     for i, text in enumerate(("- 1\n", "7\n", "world: {start: [0, 0\n",
-                              "solver: {sqp_max_halvings: 8}\n")):
+                              "solver: {sqp_max_halvings: 8}\n",
+                              "world: {max_steps: 5}\nworld: {max_steps: 6}\n",
+                              "world: {max_steps: 5, max_steps: 6}\n")):
         configs.append(tmp_path / f"bad{i}.yaml")
         configs[-1].write_text(text, encoding="utf-8")
+    configs.append(tmp_path / "latin1.yaml")
+    configs[-1].write_bytes(b"world: {max_steps: 5}\n# \xff\n")
     assert main(["run", "--jobs", "0", "--out", str(out)]) == 2
     assert main(["run", "--method", "nonsense", "--out", str(out)]) == 2
     assert main(["no-such-command"]) == 2
@@ -59,6 +63,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["build-sets", "--set", "world.start=[0,", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the value of world.start ") and err.count("\n") == 1, err
+    # a repeated key is named where it repeats, a file that is not UTF-8 by
+    # its path
+    for argv, says in ((["build-sets", "--config", str(configs[4])], "repeated key 'world'"),
+                       (["build-sets", "--config", str(configs[5])], "repeated key 'max_steps'"),
+                       (["build-sets", "--set", "world.start={x: 0, x: 1}"], "repeated key 'x'"),
+                       (["build-sets", "--config", str(configs[6])],
+                        f"config file {configs[6]} is not UTF-8")):
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and says in err and err.count("\n") == 1, err
     # a size, bound or tolerance out of its range names its key
     for key, bad in (("solver.sqp_violation_tol", "-1"), ("solver.sqp_step_tol", "-1"),
                      ("robot.disturbance_bound", "-0.1"),

@@ -14,6 +14,7 @@ from scipy.optimize import linprog
 import granmpc.scenario as sc
 from granmpc import ocp, simulate
 from granmpc.models import step as model_step
+from granmpc.qp import qp_solve
 from granmpc.sets import EmptySetError, Zonotope, support
 from granmpc.tube import build_tube
 
@@ -496,6 +497,50 @@ def test_sqp_executes_the_best_scored_point(cfg, method, fixture, seed, request,
     rec = simulate.run_closed_loop(cfg, method, seed, setup=setup)
     assert solves == rec.steps
     assert (rec.softened_steps > 0) == (method == "single-rmpc")
+
+
+@pytest.mark.parametrize("method, fixture, seed, cruise", [
+    ("granular", "setup_granular", 0, False), ("granular", None, 0, True),
+    ("single-rmpc", "setup_rmpc", 81, False)])
+def test_converged_plan_is_a_fixed_point_of_the_next_qp(cfg, method, fixture, seed, cruise,
+                                                        request, monkeypatch):
+    # a solve may stop at a QP's full feasible step whose keep-out
+    # multipliers still hold at the relinearized rows; one more QP from that
+    # plan, warm-started with its active set, must give the plan back, and
+    # exactly where no keep-out row binds (granular-cruise: never)
+    if cruise:
+        cfg = cfg.with_overrides({"obstacle.obstacle_start": "[6,-3]"})
+    setup = request.getfixturevalue(fixture) if fixture else ocp.MethodSetup.build(cfg, method)
+    evaluate, solve = ocp.nonlinear_violation, ocp.solve_sqp
+    scored, moves = [], []
+
+    def scoring(prob, y):
+        scored.append(np.array(y))
+        return evaluate(prob, y)
+
+    def checked(prob, *args, **kwargs):
+        scored.clear()
+        sol = solve(prob, *args, **kwargs)
+        if sol.status == "converged" and np.array_equal(sol.y, scored[-1]):
+            _, a_nl, b_nl = evaluate(prob, sol.y)
+            qp = qp_solve(prob.H, prob.f, np.vstack([prob.a_static, a_nl]),
+                          np.concatenate([prob.b_static, b_nl]), prob.a_eq, prob.b_eq,
+                          active=sol.active_set, factor=setup.J)
+            assert qp.status == "optimal"
+            first = len(prob.b_static) + (0 if prob.b_eq is None else len(prob.b_eq))
+            moves.append((np.max(np.abs(qp.x - sol.y)),
+                          any(i >= first for i in sol.active_set)))
+        return sol
+
+    monkeypatch.setattr(ocp, "nonlinear_violation", scoring)
+    monkeypatch.setattr(ocp, "solve_sqp", checked)
+    rec = simulate.run_closed_loop(cfg, method, seed, setup=setup)
+    assert moves and max(m for m, _ in moves) < 1e-5
+    assert max((m for m, binds in moves if not binds), default=0.0) < 1e-12
+    assert any(not binds for _, binds in moves)
+    if cruise:
+        assert not any(binds for _, binds in moves)
+        assert np.mean([e.sqp_iterations for e in rec.entries]) <= 1.1
 
 
 def test_step_status_names_a_violating_plan(cfg, setup_rmpc, monkeypatch):
