@@ -624,7 +624,8 @@ class OcpSolution:
     iterations: int
     qp_iterations: int
     softened: bool
-    solve_time_ms: float
+    solve_time_ms: float        # wall time
+    solve_cpu_ms: float         # CPU time of the solving thread
     nus: np.ndarray             # (n_nu, 2)
     xbar: np.ndarray            # (Kd+1, 4)
     ubar: np.ndarray
@@ -674,7 +675,7 @@ def solve_sqp(prob: OcpProblem, warm_start: Optional[OcpSolution] = None,
     QP would only return again.
     """
     cfg = prob.setup.cfg
-    t_start = time.perf_counter()
+    t_start = time.perf_counter(), time.thread_time()
     # QP working set carried from each QP to the next (see the module docstring)
     if warm_start is not None:
         y, active = shift_warm_start(prob, warm_start), warm_start.active_set
@@ -774,7 +775,8 @@ def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
     nus = np.array([y[prob.nu_slice(k)] for k in range(prob.setup.n_nu)])
     return OcpSolution(
         y=y.copy(), status=status, iterations=iterations, qp_iterations=qp_total, softened=softened,
-        solve_time_ms=1e3 * (time.perf_counter() - t_start),
+        solve_time_ms=1e3 * (time.perf_counter() - t_start[0]),
+        solve_cpu_ms=1e3 * (time.thread_time() - t_start[1]),
         nus=nus, xbar=xbar, ubar=ubar, vbar=vbar,
         violation=violation, active_set=list(active))
 

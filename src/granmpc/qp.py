@@ -7,25 +7,25 @@ Rows are numbered equalities first, then inequality i at m_eq + i; both
 ``QpSolution.active_set`` and the optional initial working set ``active``
 use this numbering.
 
-The solve starts from the minimizer of the equality-constrained QP on all
-equalities plus the rows guessed in ``active`` (none by default: a cold
-start). Guessed rows that are out of range or linearly dependent on the rows
-taken before them are skipped, and guessed inequalities with a negative
-multiplier are dropped one at a time, most negative first, until every
-multiplier is nonnegative; the start is then a valid pair of the dual method
-(Goldfarb & Idnani 1983) and costs one iteration. From there violated
-inequalities are added one at a time, dropping blocking ones, so no feasible
-starting point is required. Equalities are never dropped (their duals are
-unsigned); one that depends on the others and is not met makes the QP
-infeasible. Passing the final active set of a closely related QP (the
-previous SQP iteration or MPC step) saves most of the iterations; a wrong
-guess costs iterations, never the result. Equality-constrained minimizers
-are solved from their KKT system, and once the dual steps reach an optimum
-it is solved again that way from its final working set, which clears the
-rounding the steps accumulate on badly scaled problems (a stiff penalty on
-a lightly weighted slack). Beyond those KKT systems the solve uses H only
-through J = L^{-1} for H = L L' (Goldfarb & Idnani's form): a caller that
-solves many QPs with one H passes ``factor=_factor(H)[0]``, factored once.
+The solve uses H only through J = L^{-1} for H = L L' (Goldfarb & Idnani's
+form); a caller that solves many QPs with one H passes
+``factor=_factor(H)[0]``, factored once. It starts from the minimizer with
+the equalities and the rows guessed in ``active`` held (none by default; rows
+out of range are skipped), in the range space of their normals N (Ferreau,
+Bock & Diehl 2008): with V = J N and w0 = -J f it is x = J'(w0 + V u), where
+G u = d - V' w0 on the Gram matrix G = V' V. The Cholesky pivots of G,
+each > _TOL, test the rows' independence; only if that fails are rows
+dependent on those before them skipped. Negative inequality multipliers are
+dropped, most negative first, each by making its row and column of G the
+identity's and its right-hand side 0, and one step of iterative refinement on
+the held rows clears the cancellation in J'(w0 + V u) when w0 is huge (a
+stiff penalty on a lightly weighted slack). The start is then a valid pair of
+the dual method and costs one iteration. From there violated inequalities are
+added one at a time, dropping blocking ones, so no feasible starting point is
+required. Equalities are never dropped (their duals are unsigned); one that
+depends on the others and is not met makes the QP infeasible. A guess from a
+closely related QP (the previous SQP iteration or MPC step) saves most of the
+iterations; a wrong guess costs iterations, never the result.
 
 The contract is the KKT residuals on reported optima: stationarity <= 1e-7,
 complementary slackness <= 1e-7, and primal feasibility row by row: every
@@ -102,8 +102,9 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     if max_iter is None:
         max_iter = 50 * (n + m_in + m_eq + 10)
 
-    J, Hf = _factor(H) if factor is None else (factor, H)
-    x = -(J.T @ (J @ f))
+    J = _factor(H)[0] if factor is None else factor
+    w0 = -(J @ f)
+    x = J.T @ w0
 
     # Working set in ">=" form n . x >= d: equality j as (A_eq[j], b_eq[j]),
     # inequality i as (-A_ineq[i], -b_ineq[i]). act_idx holds row numbers,
@@ -118,45 +119,45 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
     iters = 0
 
     def result(status):
-        duals_in = np.zeros(m_in)
-        duals_eq = np.zeros(m_eq)
-        for idx, u in zip(act_idx, act_u):
-            if idx < m_eq:
-                # Stationarity is written as H x + f + A_eq' duals_eq = 0.
-                duals_eq[idx] = -u
-            else:
-                duals_in[idx - m_eq] = u
-        return QpSolution(x, status, duals_in, duals_eq, iters, sorted(act_idx))
+        duals = np.zeros(m_eq + m_in)
+        duals[act_idx] = act_u
+        # Stationarity is written as H x + f + A_eq' duals_eq = 0.
+        return QpSolution(x, status, duals[m_eq:], -duals[:m_eq], iters, sorted(act_idx))
 
     def start(rows):
-        """Minimize with the given rows (equalities first, ascending) held as
-        equalities, skipping dependent rows and dropping negative inequality
-        multipliers; the result becomes x and the working set."""
+        """The start (see the module docstring) from the given rows, equalities
+        first, ascending; the result becomes x and the working set."""
         nonlocal x, act_idx, act_u, m_act
         eqs = [i for i in rows if i < m_eq]
         ins = [i - m_eq for i in rows if i >= m_eq]
         N = np.hstack([A_e[eqs].T, -A_in[ins].T])
         d = np.concatenate([b_e[eqs], -b_in[ins]])
-        sel = _independent(J @ N)
-        rows, N, d = [rows[j] for j in sel], N[:, sel], d[sel]
+        V = J @ N
+        G = V.T @ V
+        try:
+            weak = not np.linalg.cholesky(G).diagonal().min(initial=np.inf) ** 2 > _TOL
+        except np.linalg.LinAlgError:
+            weak = True
+        if weak:
+            sel = _independent(V)
+            rows, N, d, V = [rows[j] for j in sel], N[:, sel], d[sel], V[:, sel]
+            G = V.T @ V
+        r = d - V.T @ w0
+        m_e = sum(i < m_eq for i in rows)   # equalities lead and stay
+        held = np.ones(len(rows), dtype=bool)
         while True:
-            # KKT system [[H, N], [N', 0]] [x; -u] = [-f; d], solved directly:
-            # x_unc + H^{-1} N u cancels badly when x_unc is huge
-            k = len(rows)
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n], kkt[:n, n:], kkt[n:, :n] = Hf, N, N.T
-            sol = _solve(kkt, np.concatenate([-f, d]))
-            x, u = sol[:n], -sol[n:]
-            worst = min((j for j in range(k) if rows[j] >= m_eq),
-                        key=lambda j: u[j], default=None)
-            if worst is None or u[worst] >= 0.0:
+            u = _solve(G, r)
+            if len(u) == m_e or u[m_e:].min() >= 0.0:
                 break
-            del rows[worst]
-            N, d = np.delete(N, worst, axis=1), np.delete(d, worst)
-        m_act = len(rows)
-        N_buf[:, :m_act] = N
-        W_buf[:, :m_act] = J.T @ (J @ N)
-        act_idx, act_u = rows, [float(v) for v in u]
+            j = m_e + np.argmin(u[m_e:])
+            held[j], G[j], G[:, j], G[j, j], r[j] = False, 0.0, 0.0, 1.0, 0.0
+        x = J.T @ (w0 + V @ u)
+        delta = _solve(G, (d - N.T @ x) * held)
+        x = x + J.T @ (V @ delta)
+        act_idx = [i for i, h in zip(rows, held) if h]
+        act_u = (u + delta)[held].tolist()
+        m_act = len(act_idx)
+        N_buf[:, :m_act], W_buf[:, :m_act] = N[:, held], J.T @ V[:, held]
 
     # Initial working set: the equalities, then the guessed inequalities.
     guess = sorted({int(i) for i in active if m_eq <= int(i) < m_eq + m_in})
@@ -177,10 +178,9 @@ def qp_solve(H, f, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None,
         p = int(np.argmax(s))
         return p if np.isfinite(s[p]) else None
 
-    # Once the dual steps reach an optimum, x is re-solved from the KKT
-    # system of its working set (not counted as an iteration): on the soft
-    # fallback QPs of ocp the steps leave active rows off by 1e-4 and more.
-    # The loop resumes if that re-solve moved x across a tolerance.
+    # Once the dual steps reach an optimum, start() runs again on their working
+    # set (not an iteration): on ocp's soft QPs the steps leave active rows off
+    # by 1e-4 and more. The loop resumes if that moved x across a tolerance.
     polished = True
     while True:
         p = pick_violated()

@@ -21,9 +21,9 @@ from .models import step as model_step
 
 METHODS = ocp.METHODS
 
-# StepEntry fields that hold wall-clock times: the JSONL keeps them, the
+# StepEntry fields that hold times (wall and CPU): the JSONL keeps them, the
 # canonical record bytes leave them out
-TIMING_FIELDS = ("solve_ms",)
+TIMING_FIELDS = ("solve_ms", "solve_cpu_ms")
 
 
 @dataclass
@@ -37,6 +37,7 @@ class StepEntry:
     status: str
     sqp_iterations: int
     solve_ms: float
+    solve_cpu_ms: float
     softened: bool
     qp_iterations: int = 0
     violation: float = 0.0       # worst violation of the executed plan's rows
@@ -87,7 +88,7 @@ class RunRecord:
 
 
 def canonical_record_bytes(record: RunRecord) -> bytes:
-    """Deterministic serialization; wall-clock timings are excluded."""
+    """Deterministic serialization; timings are excluded."""
     return json.dumps(record.to_dict(include_timing=False), sort_keys=True,
                       separators=(",", ":")).encode()
 
@@ -136,7 +137,7 @@ def run_closed_loop(cfg: sc.ScenarioConfig, method: str, seed: int,
             stage_cost = float(err @ Q @ err + u @ R @ u)
         entries.append(StepEntry(k, x.copy(), u, d, obstacle.position.copy(),
                                  stage_cost, sol.status, sol.iterations,
-                                 sol.solve_time_ms, sol.softened,
+                                 sol.solve_time_ms, sol.solve_cpu_ms, sol.softened,
                                  sol.qp_iterations, sol.violation))
         if infeasible:
             terminal_status = "infeasible"

@@ -5,7 +5,7 @@ and still reports infeasible problems and iteration limits."""
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from granmpc.qp import _factor, qp_solve
+from granmpc.qp import _factor, _independent, qp_solve
 from test_qp import kkt_residuals
 
 TOL = 1e-9
@@ -132,3 +132,74 @@ def test_iteration_limit_reported_with_guess(qp, data):
     assume(full.iterations >= 2)
     cut = qp_solve(H, f, A, b, A_eq, b_eq, active=guess, max_iter=full.iterations - 1)
     assert cut.status == "iteration_limit"
+
+
+def _soft_qp(rng):
+    """A QP shaped like ocp's soft fallback: slacks s >= 0 with curvature
+    1e-6 and penalty 1e6 soften keep-out rows a y - s <= c that the box
+    |y| <= 1 cannot all meet, and the factor is block diagonal with 1e3 on
+    the slacks, so |J f| is about 1e9 there."""
+    n, m = 6, 3
+    G = rng.normal(size=(n, n))
+    H_y = G @ G.T + n * np.eye(n)
+    H = np.zeros((n + m, n + m))
+    H[:n, :n], H[n:, n:] = H_y, 1e-6 * np.eye(m)
+    J = np.zeros_like(H)
+    J[:n, :n], J[n:, n:] = _factor(H_y)[0], 1e3 * np.eye(m)
+    f = np.concatenate([5.0 * rng.normal(size=n), 1e6 * np.ones(m)])
+    # keep-outs: y0 <= -2 needs a slack of 1, the other two can bind unsoftened
+    a_nl = np.vstack([np.eye(n)[0], rng.normal(size=(m - 1, n))])
+    c_nl = np.array([-2.0, -0.3, -0.2])
+    box = np.vstack([np.eye(n), -np.eye(n)])
+    A = np.vstack([np.hstack([box, np.zeros((2 * n, m))]),
+                   np.hstack([a_nl, -np.eye(m)]),
+                   np.hstack([np.zeros((m, n)), -np.eye(m)])])
+    b = np.concatenate([np.ones(2 * n), c_nl, np.zeros(m)])
+    A_eq = np.hstack([rng.normal(size=(2, n)), np.zeros((2, m))])
+    b_eq = A_eq @ np.concatenate([rng.uniform(-0.5, 0.5, size=n), np.zeros(m)])
+    return H, J, f, A, b, A_eq, b_eq, 2 * n
+
+
+def test_soft_qp_meets_contract_cold_and_warm():
+    # x = J'(w0 + V u) cancels on this shape: without the start's refinement
+    # step a slack misses its row by 5e-5, far outside the contract
+    for seed in range(5):
+        H, J, f, A, b, A_eq, b_eq, first_keep_out = _soft_qp(np.random.default_rng(seed))
+        cold = qp_solve(H, f, A, b, A_eq, b_eq, factor=J)
+        assert cold.status == "optimal"
+        _check_contract(H, f, cold, A, b, A_eq, b_eq)
+        for row in range(first_keep_out, first_keep_out + 3):
+            warm = qp_solve(H, f, A, b, A_eq, b_eq, factor=J, active=[len(b_eq) + row])
+            assert warm.status == "optimal"
+            _check_contract(H, f, warm, A, b, A_eq, b_eq)
+
+
+def test_dependent_rows_take_the_fallback(monkeypatch):
+    # a guess that holds a row twice, and an equality given twice, fail the
+    # Cholesky independence test; the start then chooses rows one by one
+    calls = []
+    monkeypatch.setattr("granmpc.qp._independent",
+                        lambda V: calls.append(V.shape) or _independent(V))
+    rng = np.random.default_rng(23)
+    n = 5
+    G = rng.normal(size=(n, n))
+    H = G @ G.T + n * np.eye(n)
+    f = 5.0 * rng.normal(size=n)
+    A = np.vstack([np.eye(n), -np.eye(n)])
+    b = 0.5 * np.ones(2 * n)
+    A_eq, b_eq = rng.normal(size=(1, n)), np.array([0.1])
+    cold = qp_solve(H, f, A, b, A_eq, b_eq)
+    assert cold.status == "optimal" and len(cold.active_set) >= 2 and not calls
+
+    held = cold.active_set[1] - len(b_eq)
+    A2, b2 = np.vstack([A, A[held]]), np.append(b, b[held])
+    warm = qp_solve(H, f, A2, b2, A_eq, b_eq, active=cold.active_set + [len(b_eq) + len(b)])
+    assert calls
+    assert warm.status == "optimal"
+    assert np.max(np.abs(warm.x - cold.x)) <= 1e-8
+
+    calls.clear()
+    twice = qp_solve(H, f, A, b, np.vstack([A_eq, A_eq]), np.append(b_eq, b_eq))
+    assert calls
+    assert twice.status == "optimal"
+    assert np.max(np.abs(twice.x - cold.x)) <= 1e-8

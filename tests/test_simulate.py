@@ -34,12 +34,15 @@ def test_canonical_bytes_ignore_timing(granular_run):
     before = canonical_record_bytes(granular_run)
     # the solver telemetry is no timing: it stays in the canonical record
     assert b'"qp_iterations"' in before and b'"violation"' in before
-    saved = granular_run.entries[0].solve_ms
-    granular_run.entries[0].solve_ms = -1.0
+    entry = granular_run.entries[0]
+    saved = {name: getattr(entry, name) for name in TIMING_FIELDS}
+    for name in TIMING_FIELDS:
+        setattr(entry, name, -1.0)
     try:
         assert canonical_record_bytes(granular_run) == before
     finally:
-        granular_run.entries[0].solve_ms = saved
+        for name, value in saved.items():
+            setattr(entry, name, value)
 
 
 def test_realized_disturbances_respect_bounds(cfg, setup_granular, granular_run):
@@ -120,7 +123,7 @@ def test_disturbances_are_common_across_methods(cfg, setup_granular, setup_rmpc,
 def _toy_records():
     def entry(k, cost, ms, soft=False):
         return StepEntry(k, np.zeros(4), np.zeros(2), np.zeros(4),
-                         np.zeros(2), cost, "converged", 2, ms, soft)
+                         np.zeros(2), cost, "converged", 2, ms, ms, soft)
 
     r1 = RunRecord("granular", 0, [entry(0, 1.0, 10.0), entry(1, 3.0, 20.0)],
                    False, True, True, 2, 4.0, "reached", np.zeros(4), np.zeros(2))
