@@ -772,7 +772,8 @@ def _certified(prob: OcpProblem, mu, a_old, a_new, b_new, y) -> bool:
 def _make_solution(prob: OcpProblem, y, status, iterations, qp_total, softened,
                    t_start, active, violation) -> OcpSolution:
     xbar, ubar, _, vbar = prob.trajectories(y)
-    nus = np.array([y[prob.nu_slice(k)] for k in range(prob.setup.n_nu)])
+    n_beta = prob.setup.model.n_states
+    nus = y[n_beta:n_beta + 2 * prob.setup.n_nu].reshape(-1, 2)
     return OcpSolution(
         y=y.copy(), status=status, iterations=iterations, qp_iterations=qp_total, softened=softened,
         solve_time_ms=1e3 * (time.perf_counter() - t_start[0]),

@@ -543,6 +543,24 @@ def test_converged_plan_is_a_fixed_point_of_the_next_qp(cfg, method, fixture, se
         assert np.mean([e.sqp_iterations for e in rec.entries]) <= 1.1
 
 
+def test_certificate_needs_its_active_rows_met(cfg, setup_granular):
+    # with the keep-out rows' normals unchanged the multipliers stay
+    # stationary, so only the second half can refuse: a row with mu > 0 that
+    # is not met with equality is no KKT point
+    prob = ocp.assemble(setup_granular, _start_state(cfg), _obstacle(cfg))
+    y = ocp.cold_start(prob)
+    _, a_nl, b_nl = ocp.nonlinear_violation(prob, y)
+    gap = a_nl @ y - b_nl
+    j = int(np.argmax(np.abs(gap)))
+    assert abs(gap[j]) > cfg.sqp_step_tol
+    mu = np.zeros(len(b_nl))
+    mu[j] = 1.0
+    assert not ocp._certified(prob, mu, a_nl, a_nl, b_nl, y)
+    b_met = b_nl.copy()
+    b_met[j] = a_nl[j] @ y
+    assert ocp._certified(prob, mu, a_nl, a_nl, b_met, y)
+
+
 def test_step_status_names_a_violating_plan(cfg, setup_rmpc, monkeypatch):
     # single-rmpc seed 81 executes six softened plans that still violate
     # their rows: they must read "violating", and "max-iter" is left for a

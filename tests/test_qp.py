@@ -1,10 +1,12 @@
 """QP solver tests against independent oracles: closed-form KKT systems for
 equality constraints and projected gradient descent for box constraints."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from granmpc.qp import QpSolution, qp_solve
+from granmpc.qp import QpSolution, _factor, _solve, qp_solve
 
 
 def kkt_residuals(H, f, sol: QpSolution, A_ineq=None, b_ineq=None, A_eq=None, b_eq=None):
@@ -174,3 +176,30 @@ def test_far_row_does_not_loosen_tight_row():
     assert sol.active_set == [0]
     stat, feas, comp = kkt_residuals(H, f, sol, A, b)
     assert stat < 1e-7 and feas <= 1e-8 and comp < 1e-7
+
+
+def test_well_scaled_qp_needs_no_repair(monkeypatch):
+    # the start's residual and the dual steps' optimum are in contract, so
+    # neither the start's refinement solve nor the polish (a second start,
+    # so a second Cholesky) runs: one solve for the start's multipliers and
+    # one per dual iteration
+    rng = np.random.default_rng(11)
+    n = 6
+    H = _random_spd(rng, n)
+    f = 5.0 * rng.normal(size=n)
+    A = np.vstack([np.eye(n), -np.eye(n)])
+    b = 0.3 * np.ones(2 * n)
+    A_eq, b_eq = rng.normal(size=(1, n)), np.array([0.1])
+    J = _factor(H)[0]
+    calls = Counter()
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr("granmpc.qp.np.linalg.cholesky",
+                        lambda M: calls.update(["cholesky"]) or cholesky(M))
+    monkeypatch.setattr("granmpc.qp._solve",
+                        lambda M, rhs: calls.update(["solve"]) or _solve(M, rhs))
+    sol = qp_solve(H, f, A, b, A_eq, b_eq, factor=J)
+    assert sol.status == "optimal" and sol.iterations >= 3
+    assert calls["cholesky"] == 1
+    assert calls["solve"] == sol.iterations
+    stat, feas, comp = kkt_residuals(H, f, sol, A, b, A_eq, b_eq)
+    assert stat <= 1e-7 and feas <= 1e-8 and comp <= 1e-7
